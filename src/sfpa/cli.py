@@ -34,6 +34,7 @@ from .errors import (
 from .galileo import parse_ft, serialize_ft
 from .generator import GenConfig, generate, generate_corpus
 from .solver import (
+    SolveReport,
     minimal_cut_set_via_reduction,
     solve_sfpa,
     solve_sfpa2,
@@ -60,35 +61,41 @@ def _json_value(x):
     return float(format(x, ".17g"))
 
 
+def _timed(algorithm, solve, t, max_terms):
+    """Run a solver that returns a bare number and wrap it in a report."""
+    start = time.perf_counter()
+    value = solve(t)
+    return SolveReport(value, algorithm, max_terms=max_terms,
+                       wall_time=time.perf_counter() - start)
+
+
+#: algorithm name -> function (tree, dominators or None) -> SolveReport.
+#: The lambdas look the solvers up in this module at call time, so a
+#: solver replaced here (for instance by a tracing wrapper) is the one run.
+#: The oracle keeps no terms: its ``max_terms`` is None, an empty CSV cell.
+_ALGORITHMS = {
+    "sfpa": lambda t, dom: solve_sfpa(t, dom),
+    "sfpa2": lambda t, dom: solve_sfpa2(t, dom),
+    "treelike": lambda t, dom: _timed("treelike", solve_treelike, t, 1),
+    "oracle": lambda t, dom: _timed("oracle", oracle_unreliability, t, None),
+}
+
+
 def cmd_solve(args):
     t = _load(args.file, exact=args.exact)
-    if args.algo == "treelike":
-        start = time.perf_counter()
-        value = solve_treelike(t)
-        report = {
-            "unreliability": _json_value(min(max(value, 0), 1)),
-            "raw_unreliability": _json_value(value),
-            "max_live_vars": 0,
-            "max_terms": 1,
-            "substitutions": 0,
-            "multiplications": 0,
-            "wall_time_s": time.perf_counter() - start,
-        }
-    else:
-        solve = solve_sfpa if args.algo == "sfpa" else solve_sfpa2
-        rep = solve(t)
-        report = {
-            "unreliability": _json_value(rep.clamped()),
-            "raw_unreliability": _json_value(rep.unreliability),
-            "max_live_vars": rep.max_live_vars,
-            "max_terms": rep.max_terms,
-            "substitutions": rep.substitutions,
-            "multiplications": rep.multiplications,
-            "wall_time_s": rep.wall_time,
-        }
-    report["file"] = str(args.file)
-    report["algo"] = args.algo
-    report["exact"] = args.exact
+    rep = _ALGORITHMS[args.algo](t, None)
+    report = {
+        "unreliability": _json_value(rep.clamped()),
+        "raw_unreliability": _json_value(rep.unreliability),
+        "max_live_vars": rep.max_live_vars,
+        "max_terms": rep.max_terms,
+        "substitutions": rep.substitutions,
+        "multiplications": rep.multiplications,
+        "wall_time_s": rep.wall_time,
+        "file": str(args.file),
+        "algo": args.algo,
+        "exact": args.exact,
+    }
     print(json.dumps(report))
     return 0
 
@@ -176,27 +183,12 @@ def cmd_bench(args):
             max_terms = ""
             error = ""
             try:
+                if algo not in _ALGORITHMS:
+                    raise SfpaError("unknown algorithm %r" % algo)
                 for _ in range(args.repeats):
-                    if algo == "sfpa":
-                        rep = solve_sfpa(t, dom)
-                        value, max_terms = rep.unreliability, rep.max_terms
-                        times.append(rep.wall_time)
-                    elif algo == "sfpa2":
-                        rep = solve_sfpa2(t, dom)
-                        value, max_terms = rep.unreliability, rep.max_terms
-                        times.append(rep.wall_time)
-                    elif algo == "treelike":
-                        start = time.perf_counter()
-                        value = solve_treelike(t)
-                        times.append(time.perf_counter() - start)
-                        max_terms = 1
-                    elif algo == "oracle":
-                        start = time.perf_counter()
-                        value = oracle_unreliability(t)
-                        times.append(time.perf_counter() - start)
-                        max_terms = ""
-                    else:
-                        raise SfpaError("unknown algorithm %r" % algo)
+                    rep = _ALGORITHMS[algo](t, dom)
+                    value, max_terms = rep.unreliability, rep.max_terms
+                    times.append(rep.wall_time)
             except SfpaError as exc:
                 error = str(exc)
             records.append(

@@ -5,16 +5,16 @@ nodes by the ancestor relation (a node is "below" another if the latter
 can reach it).  A dominator of v is a node lying on every path from the
 root to v; the immediate dominator is the closest one.
 
-The computation is the classic iterative-intersection scheme over a
-topological order.  On a DAG every parent is processed before its
-children, so the first sweep already reaches the fixpoint; we keep the
-outer loop anyway as a cheap safety net.
+The computation is the iterative-intersection scheme of Cooper, Harvey
+and Kennedy ("A Simple, Fast Dominance Algorithm", 2001) over the
+topological order that ``FaultTree`` validation stores.  On a DAG every
+parent comes before its children in that order, so a single sweep
+reaches the fixpoint.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .tree import FaultTree
 
@@ -29,61 +29,38 @@ class DominatorInfo:
     """
 
     idom: dict[int, int]
-    topo_order: list[int]
-    topo_index: dict[int, int] = field(default_factory=dict)
+    topo_order: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.topo_index:
-            self.topo_index.update(
-                {v: i for i, v in enumerate(self.topo_order)}
-            )
+    @property
+    def topo_index(self) -> dict[int, int]:
+        return {v: i for i, v in enumerate(self.topo_order)}
 
 
 def topo_sort(t: FaultTree) -> list[int]:
     """Root-first topological order, ties broken by smallest node id."""
-    n = len(t)
-    indeg = [len(t.parents[v]) for v in range(n)]
-    heap = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in t.children[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    return order
+    return list(t.order)
 
 
-def immediate_dominators(t: FaultTree, order=None) -> DominatorInfo:
+def immediate_dominators(t: FaultTree) -> DominatorInfo:
     """Immediate dominator of every non-root node."""
-    if order is None:
-        order = topo_sort(t)
-    index = {v: i for i, v in enumerate(order)}
-    idom = {t.root: t.root}
-
-    def intersect(u, v):
-        while u != v:
-            while index[u] > index[v]:
-                u = idom[u]
-            while index[v] > index[u]:
-                v = idom[v]
-        return u
-
-    changed = True
-    while changed:
-        changed = False
-        for v in order[1:]:
-            preds = [p for p in t.parents[v] if p in idom]
-            new = preds[0]
-            for p in preds[1:]:
-                new = intersect(new, p)
-            if idom.get(v) != new:
-                idom[v] = new
-                changed = True
-    idom.pop(t.root)
-    return DominatorInfo(idom=idom, topo_order=list(order), topo_index=index)
+    order, parents = t.order, t.parents
+    index = [0] * len(order)
+    for i, v in enumerate(order):
+        index[v] = i
+    idom = {}
+    for v in order[1:]:
+        preds = parents[v]
+        new = preds[0]
+        for p in preds[1:]:
+            # walk both up the dominator tree until they meet; the root
+            # has index 0, so it is never the one that moves
+            while p != new:
+                while index[p] > index[new]:
+                    p = idom[p]
+                while index[new] > index[p]:
+                    new = idom[new]
+        idom[v] = new
+    return DominatorInfo(idom=idom, topo_order=order)
 
 
 def check_idom_ordering(info: DominatorInfo, t: FaultTree) -> bool:

@@ -9,6 +9,8 @@ Line-oriented, UTF-8.  One declaration per line, terminated by ``;``:
 
 ``//`` starts a comment; blank lines are ignored; declarations may come
 in any order.  Names may be quoted or bare; the serializer always quotes.
+``FaultTree`` rejects every name the serializer could not write back: one
+containing ``"``, ``//`` or a line break, or the name ``toplevel``.
 The format covers plain fault trees only (no CBEs, no dynamic gates).
 """
 
@@ -137,10 +139,8 @@ def _format_prob(p) -> str:
 def serialize_ft(t: FaultTree) -> str:
     """Deterministic serialization: toplevel, gates in topological order
     (root first, parents before children), then BEs sorted by name."""
-    from .dominators import topo_sort
-
     lines = ['toplevel "%s";' % t.names[t.root]]
-    for v in topo_sort(t):
+    for v in t.order:
         if t.kinds[v] in (GateKind.AND, GateKind.OR):
             kids = " ".join('"%s"' % t.names[w] for w in t.children[v])
             lines.append('"%s" %s %s;' % (t.names[v], t.kinds[v].value, kids))

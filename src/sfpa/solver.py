@@ -6,7 +6,11 @@ descendants appear as formal variables; a variable is substituted by its
 numeric (or polynomial) value exactly at the immediate dominator of the
 node it stands for, the earliest point at which no second copy can show
 up in the computation.  At the root all variables are gone and the
-constant left over is the unreliability.
+constant left over is the unreliability.  Every solver visits the nodes
+in the tree's stored topological order reversed, which is children-first.
+Any children-first order gives the same values and counters; a
+depth-first order would not save memory either, since the solvers keep
+every node's value until the end.
 
 Two variants are provided: the plain one introduces a variable for every
 gate child and substitutes it away immediately when possible, while the
@@ -72,31 +76,6 @@ def _require_plain_ft(t: FaultTree):
         raise ValidationError("solver operates on fault trees without CBEs")
 
 
-def _postorder(t: FaultTree):
-    """Children-first processing order (DFS post-order from the root).
-
-    Any children-first order is correct here; depth-first keeps the set
-    of computed-but-unconsumed node values small, where reversing a
-    breadth-like topological order would hold every leaf at once.
-    """
-    order = []
-    done = [False] * len(t)
-    stack = [(t.root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if done[v]:
-            continue
-        if expanded:
-            done[v] = True
-            order.append(v)
-        else:
-            stack.append((v, True))
-            for w in t.children[v]:
-                if not done[w]:
-                    stack.append((w, False))
-    return order
-
-
 def _grouped_by_idom(t: FaultTree, dom: DominatorInfo, only_multiparent=False):
     """For each node, the nodes it immediately dominates, closest first
     (forward topological order is exactly the maximal-first order the
@@ -128,7 +107,7 @@ def solve_sfpa(t: FaultTree, dom: DominatorInfo | None = None,
         report.max_terms = max(report.max_terms, len(poly))
         report.max_live_vars = max(report.max_live_vars, len(poly.variables()))
 
-    for v in _postorder(t):
+    for v in reversed(t.order):
         kind = t.kinds[v]
         if kind is GateKind.BE:
             gv = Poly.constant(t.probs[v])
@@ -201,7 +180,7 @@ def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
     multiplications = 0
     substitutions = 0
 
-    for v in _postorder(t):
+    for v in reversed(t.order):
         kind = kinds[v]
         if kind is kind_be:
             continue
@@ -257,7 +236,7 @@ def solve_treelike(t: FaultTree):
     for v in t.multiparent_nodes():
         raise NotATreeError(t.names[v])
     value = {}
-    for v in _postorder(t):
+    for v in reversed(t.order):
         kind = t.kinds[v]
         if kind is GateKind.BE:
             value[v] = t.probs[v]

@@ -18,6 +18,7 @@ as mappings from CBE id to 0/1.
 from __future__ import annotations
 
 import enum
+import heapq
 from fractions import Fraction
 
 from .errors import CapExceededError, ValidationError
@@ -25,6 +26,13 @@ from .errors import CapExceededError, ValidationError
 #: Default limit on the number of BEs for exhaustive enumeration
 #: (2**20 assignments is about the largest that stays under seconds).
 DEFAULT_ENUM_CAP = 20
+
+
+def _unwritable(text):
+    """Whether ``text`` holds what no name in the text format can: a quote
+    (it ends a quoted name), ``//`` (it starts a comment) or a character
+    that ``str.splitlines`` breaks on (it ends the declaration)."""
+    return '"' in text or "//" in text or len((text + "\0").splitlines()) > 1
 
 
 class GateKind(enum.Enum):
@@ -47,10 +55,13 @@ class FaultTree:
         parents: tuple of parent-id tuples per node (derived).
         probs: dict BE id -> failure probability (float or Fraction).
         root: id of the root node.
+        order: tuple of all node ids, root first and every parent before
+            its children, ties broken by smallest id (computed once by
+            validation; every traversal of the package reads it).
     """
 
     __slots__ = ("names", "kinds", "children", "parents", "probs", "root",
-                 "name_to_id")
+                 "name_to_id", "order")
 
     def __init__(self, names, kinds, children, probs, root):
         self.names = tuple(names)
@@ -122,9 +133,15 @@ class FaultTree:
         n = len(self.names)
         if not (0 <= self.root < n):
             raise ValidationError("root id out of range")
-        if len(set(self.names)) != n:
+        if len(self.name_to_id) != n:
             dupe = next(x for x in self.names if self.names.count(x) > 1)
             raise ValidationError("duplicate node name %r" % dupe)
+        # one scan over all names; "\0" cannot join two names into a match
+        if _unwritable("\0".join(self.names)) or "toplevel" in self.name_to_id:
+            bad = next(x for x in self.names if x == "toplevel" or _unwritable(x))
+            raise ValidationError(
+                "node name %r cannot be written in the text format" % bad
+            )
         for v in range(n):
             kind = self.kinds[v]
             kids = self.children[v]
@@ -157,40 +174,34 @@ class FaultTree:
                     "node %r is not a basic event but has a probability"
                     % self.names[v]
                 )
-        self._check_acyclic()
-        reachable = self._reachable_from(self.root)
-        if len(reachable) != n:
-            missing = next(v for v in range(n) if v not in reachable)
-            raise ValidationError(
-                "node %r is unreachable from the root" % self.names[missing]
-            )
-
-    def _check_acyclic(self):
-        n = len(self.names)
+        # Kahn's algorithm, smallest id first among the ready nodes
+        order = []
         indeg = [len(p) for p in self.parents]
-        queue = [v for v in range(n) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in self.children[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != n:
-            cyc = next(v for v in range(n) if indeg[v] > 0)
+        sources = [v for v in range(n) if not indeg[v]]
+        heap = sources[:]  # ascending, hence already a heap
+        children, pop, push = self.children, heapq.heappop, heapq.heappush
+        while heap:
+            v = pop(heap)
+            order.append(v)
+            for w in children[v]:
+                left = indeg[w] - 1
+                indeg[w] = left
+                if not left:
+                    push(heap, w)
+        if len(order) != n:
+            cyc = next(v for v in range(n) if indeg[v])
             raise ValidationError("cycle detected through node %r" % self.names[cyc])
+        # acyclic, so every node lies below some parentless node: all are
+        # reachable exactly when the root is the only parentless node
+        if sources != [self.root]:
+            stray = next(v for v in sources if v != self.root)
+            raise ValidationError(
+                "node %r is unreachable from the root" % self.names[stray]
+            )
+        self.order = tuple(order)
 
     def _reachable_from(self, v):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.children[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return _reachable(self.children, v)
 
     # -- basic queries ---------------------------------------------------
 
@@ -249,15 +260,7 @@ class FaultTree:
             [] if v in cut else list(self.children[v])
             for v in range(len(self.names))
         ]
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            for w in children[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        keep = sorted(seen)
+        keep = sorted(_reachable(children, self.root))
         remap = {old: new for new, old in enumerate(keep)}
         return FaultTree(
             [self.names[u] for u in keep],
@@ -270,6 +273,19 @@ class FaultTree:
             },
             remap[self.root],
         )
+
+
+def _reachable(children, v):
+    """Ids reachable from ``v`` (itself included) along ``children``."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in children[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def compose(t: FaultTree, v: int, t2: FaultTree) -> FaultTree:
@@ -366,9 +382,8 @@ def structure_function(t: FaultTree, v: int, f, c=None) -> bool:
     """
     failed = _as_failed_set(t, f)
     on = _as_control(t, c if c is not None else frozenset())
-    order = _topo_children_first(t)
     value = {}
-    for u in order:
+    for u in reversed(t.order):
         kind = t.kinds[u]
         if kind is GateKind.BE:
             value[u] = u in failed
@@ -379,21 +394,6 @@ def structure_function(t: FaultTree, v: int, f, c=None) -> bool:
         else:
             value[u] = all(value[w] for w in t.children[u])
     return value[v]
-
-
-def _topo_children_first(t: FaultTree):
-    n = len(t.names)
-    indeg = [len(t.children[v]) for v in range(n)]
-    order = [v for v in range(n) if indeg[v] == 0]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for p in t.parents[v]:
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                order.append(p)
-    return order
 
 
 def _variable_tables(n: int):
@@ -429,7 +429,7 @@ def _root_table(t: FaultTree, control=frozenset()):
         table[v] = patterns[j]
     for v in t.controllable_events():
         table[v] = full if v in control else 0
-    for u in _topo_children_first(t):
+    for u in reversed(t.order):
         if u in table:
             continue
         kids = t.children[u]
@@ -472,26 +472,8 @@ def cut_sets(t: FaultTree, cap=DEFAULT_ENUM_CAP):
     return result
 
 
-def oracle_unreliability(t: FaultTree, cap=DEFAULT_ENUM_CAP):
-    """Top-event failure probability by explicit summation over cut sets.
-
-    This is the brute-force reference that the polynomial algorithms are
-    validated against; exact when the probabilities are Fractions.
-    """
-    _check_cap(t, cap)
-    bes, table = _root_table(t)
-    weights = _assignment_weights(t, bes)
-    blob = table.to_bytes((len(weights) + 7) // 8, "little")
-    total = 0
-    for a, w in enumerate(weights):
-        if blob[a >> 3] & (1 << (a & 7)):
-            total = total + w
-    return total
-
-
-def pcft_unreliability(t: FaultTree, c, cap=DEFAULT_ENUM_CAP):
-    """Failure probability of a PCFT with its CBE states fixed to ``c``."""
-    control = _as_control(t, c)
+def _failure_probability(t: FaultTree, control, cap):
+    """Sum the weights of the BE assignments that fail the root."""
     _check_cap(t, cap)
     bes, table = _root_table(t, control)
     weights = _assignment_weights(t, bes)
@@ -501,3 +483,17 @@ def pcft_unreliability(t: FaultTree, c, cap=DEFAULT_ENUM_CAP):
         if blob[a >> 3] & (1 << (a & 7)):
             total = total + w
     return total
+
+
+def oracle_unreliability(t: FaultTree, cap=DEFAULT_ENUM_CAP):
+    """Top-event failure probability by explicit summation over cut sets.
+
+    This is the brute-force reference that the polynomial algorithms are
+    validated against; exact when the probabilities are Fractions.
+    """
+    return _failure_probability(t, frozenset(), cap)
+
+
+def pcft_unreliability(t: FaultTree, c, cap=DEFAULT_ENUM_CAP):
+    """Failure probability of a PCFT with its CBE states fixed to ``c``."""
+    return _failure_probability(t, _as_control(t, c), cap)

@@ -56,6 +56,25 @@ class TestSolve:
         assert code == 2
         assert "nofuel" in err
 
+    @pytest.mark.parametrize("algo,name", [("sfpa", "solve_sfpa"),
+                                           ("sfpa2", "solve_sfpa2"),
+                                           ("treelike", "solve_treelike")])
+    def test_solver_is_looked_up_at_call_time(self, capsys, monkeypatch,
+                                              tmp_path, algo, name):
+        # replacing a solver in sfpa.cli (as a tracing wrapper does) must
+        # reach every command that runs it
+        import sfpa.cli
+
+        calls = []
+        original = getattr(sfpa.cli, name)
+        monkeypatch.setattr(sfpa.cli, name,
+                            lambda *a: calls.append(a) or original(*a))
+        tree = tmp_path / "tree.dft"
+        tree.write_text('toplevel "g";\n"g" or "a" "b";\n"a" prob=0.5;\n'
+                        '"b" prob=0.5;\n')
+        assert run(capsys, "solve", "--algo", algo, tree)[0] == 0
+        assert len(calls) == 1
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", tmp_path / "nope.dft")
         assert code == 1

@@ -1,8 +1,12 @@
 """Topological order and immediate dominators, against path-enumeration oracles."""
 
+from collections import Counter
+
 from sfpa import (
     FaultTree,
+    GenConfig,
     check_idom_ordering,
+    generate,
     immediate_dominators,
     topo_sort,
 )
@@ -86,3 +90,24 @@ def test_idom_map_is_a_tree_rooted_at_root():
                 assert u not in seen
                 seen.add(u)
                 u = info.idom[u]
+
+
+class CountingTuple(tuple):
+    """A tuple that counts how often each index is read."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.reads = Counter()
+        return self
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_one_sweep_reads_each_parent_list_once():
+    t = generate(GenConfig(seed=5, n_be=60, n_gates=40, n_multiparent=20))
+    expected = immediate_dominators(t).idom
+    t.parents = CountingTuple(t.parents)
+    assert immediate_dominators(t).idom == expected
+    assert t.parents.reads == Counter(v for v in range(len(t)) if v != t.root)

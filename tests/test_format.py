@@ -3,8 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sfpa import GateKind, ParseError, parse_ft, serialize_ft
+from sfpa import (
+    FaultTree,
+    GateKind,
+    GenConfig,
+    ParseError,
+    ValidationError,
+    generate,
+    parse_ft,
+    serialize_ft,
+)
 from helpers import FIG1_TEXT, fig2, make_rng, random_tree, trees_equivalent
 
 
@@ -93,3 +103,109 @@ def test_round_trip_random_trees():
         assert trees_equivalent(t, again)
         # serialization of the reparse is identical text
         assert serialize_ft(again) == serialize_ft(t)
+
+
+def test_serialize_fig2_golden_bytes():
+    assert serialize_ft(fig2()) == (
+        'toplevel "h";\n'
+        '"h" and "f" "g";\n'
+        '"f" and "d" "e";\n'
+        '"d" or "a" "b";\n'
+        '"e" or "b" "c";\n'
+        '"a" prob=0.5;\n'
+        '"b" prob=0.5;\n'
+        '"c" prob=0.5;\n'
+        '"g" prob=0.5;\n'
+    )
+
+
+def test_serialize_multiparent_golden_bytes():
+    # after g0000, g0001 and g0003 are both ready: smallest id first
+    # writes g0001 g0002 g0003, largest id first writes g0003 first and
+    # first-in-first-out writes g0003 before g0002
+    t = generate(GenConfig(seed=0, n_be=6, n_gates=6, n_multiparent=3))
+    assert t.multiparent_nodes() == [5, 6, 11]
+    assert serialize_ft(t) == (
+        'toplevel "g0000";\n'
+        '"g0000" or "g0001" "g0003" "g0005" "be0005";\n'
+        '"g0001" or "g0002";\n'
+        '"g0002" or "g0004" "be0003" "be0005" "be0000";\n'
+        '"g0003" and "be0001" "be0002" "be0004";\n'
+        '"g0004" or "g0005";\n'
+        '"g0005" or "be0000";\n'
+        '"be0000" prob=0.4573754160865701;\n'
+        '"be0001" prob=0.4836371202076718;\n'
+        '"be0002" prob=0.24373479051083136;\n'
+        '"be0003" prob=0.43400186460810364;\n'
+        '"be0004" prob=0.1376412320920601;\n'
+        '"be0005" prob=0.40446363523638096;\n'
+    )
+
+
+def described(t):
+    """Everything the text format carries, keyed by name."""
+    return t.names[t.root], {
+        t.names[v]: (t.kinds[v], [t.names[w] for w in t.children[v]],
+                     t.probs.get(v))
+        for v in range(len(t))
+    }
+
+
+def rename(shape, names):
+    """``FaultTree.build`` on the structure of ``shape`` with new names."""
+    gates = {
+        names[v]: (shape.kinds[v], [names[w] for w in shape.children[v]])
+        for v in range(len(shape)) if shape.children[v]
+    }
+    probs = {names[v]: p for v, p in shape.probs.items()}
+    return FaultTree.build(names[shape.root], gates, probs)
+
+
+def writable(name):
+    return not (name == "toplevel" or '"' in name or "//" in name
+                or len(("x" + name + "x").splitlines()) != 1)
+
+
+@pytest.mark.parametrize(
+    "name", ["a b", "a;b", "and", "or", "prob=0.5", "", "TOPLEVEL", " x\t"]
+)
+def test_awkward_names_round_trip(name):
+    t = rename(fig2(), ["h", "f", "d", "e", name, "b", "c", "g"])
+    again = parse_ft(serialize_ft(t))
+    assert described(again) == described(t)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ['a"b', "a//b", "toplevel", "a\n", "\u2029"]
+    + ["a%sb" % c for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
+)
+def test_unwritable_names_rejected(name):
+    assert not writable(name)
+    with pytest.raises(ValidationError, match="cannot be written"):
+        rename(fig2(), ["h", "f", "d", "e", name, "b", "c", "g"])
+
+
+_NAMES = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet='"/;= \n\r\x0b\x1c\x85\u2028ab', max_size=4),
+    st.sampled_from(["toplevel", "TOPLEVEL", "and", "or", "prob=0.5", ""]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_every_accepted_tree_round_trips(seed, data):
+    shape = random_tree(make_rng(seed), max_be=5, max_gates=4, max_multiparent=3)
+    names = data.draw(st.lists(_NAMES, min_size=len(shape),
+                               max_size=len(shape), unique=True))
+    try:
+        t = rename(shape, names)
+    except ValidationError:
+        assert not all(map(writable, names))
+        return
+    assert all(map(writable, names))
+    text = serialize_ft(t)
+    again = parse_ft(text)
+    assert described(again) == described(t)
+    assert serialize_ft(again) == text

@@ -58,6 +58,20 @@ class TestValidation:
                 {"a": 0.5},
             )
 
+    def test_cycle_the_root_cannot_reach_is_reported_as_cycle(self):
+        with pytest.raises(ValidationError, match="cycle"):
+            FaultTree.build(
+                "top",
+                {"top": ("or", ["a"]), "c1": ("and", ["c2"]),
+                 "c2": ("or", ["c1", "a"])},
+                {"a": 0.5},
+            )
+
+    def test_root_with_a_parent_is_rejected(self):
+        with pytest.raises(ValidationError, match="unreachable"):
+            FaultTree.build("top", {"up": ("or", ["top"]), "top": ("or", ["a"])},
+                            {"a": 0.5})
+
     def test_duplicate_child_rejected(self):
         with pytest.raises(ValidationError, match="twice"):
             FaultTree.build("top", {"top": ("and", ["a", "a"])}, {"a": 0.5})
