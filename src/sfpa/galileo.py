@@ -9,6 +9,9 @@ Line-oriented, UTF-8.  One declaration per line, terminated by ``;``:
 
 ``//`` starts a comment; blank lines are ignored; declarations may come
 in any order.  Names may be quoted or bare; the serializer always quotes.
+A probability is a decimal literal or a ratio ``n/d`` of two integers;
+the serializer writes an exact probability as ``n/d`` when no
+terminating decimal equals it.
 ``FaultTree`` rejects every name the serializer could not write back: one
 containing ``"``, ``//`` or a line break, or the name ``toplevel``.
 The format covers plain fault trees only (no CBEs, no dynamic gates).
@@ -23,36 +26,37 @@ from .errors import ParseError
 from .tree import FaultTree, GateKind
 
 _TOKEN = re.compile(r'"([^"]*)"|(\S+)')
-
-
-def _tokens(body):
-    out = []
-    for match in _TOKEN.finditer(body):
-        quoted, bare = match.group(1), match.group(2)
-        out.append(quoted if quoted is not None else bare)
-    return out
+_GATE_KINDS = {"and": GateKind.AND, "or": GateKind.OR}
 
 
 def parse_ft(text: str, exact: bool = False) -> FaultTree:
     """Parse the text format into a validated FaultTree.
 
-    With ``exact=True`` probabilities are read as exact Fractions of the
-    decimal literal instead of floats.
+    Node ids follow declaration order.  With ``exact=True`` probabilities
+    are read as exact Fractions of the literal instead of floats; without
+    it, ``n/d`` becomes the float nearest to that ratio.
     """
     toplevel = None
     toplevel_line = None
-    decls = {}  # name -> ("gate", kind, [children]) | ("be", prob)
-    order = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
+    names = []
+    kinds = []
+    kid_names = []  # per node, the child names as written (none for a BE)
+    probs = {}
+    index = {}  # name -> id
+    findall = _TOKEN.findall
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "//" in line:
+            line = line.split("//", 1)[0]
+        line = line.strip()
         if not line:
             continue
         if not line.endswith(";"):
             raise ParseError("declaration does not end with ';'", lineno)
-        tokens = _tokens(line[:-1].strip())
+        tokens = [bare or quoted for quoted, bare in findall(line, 0, len(line) - 1)]
         if not tokens:
             raise ParseError("empty declaration", lineno)
-        if tokens[0] == "toplevel":
+        name = tokens[0]
+        if name == "toplevel":
             if len(tokens) != 2:
                 raise ParseError("toplevel takes exactly one name", lineno)
             if toplevel is not None:
@@ -62,62 +66,55 @@ def parse_ft(text: str, exact: bool = False) -> FaultTree:
             toplevel = tokens[1]
             toplevel_line = lineno
             continue
-        name = tokens[0]
-        if len(tokens) >= 2 and tokens[1] in ("and", "or"):
+        kind = _GATE_KINDS.get(tokens[1]) if len(tokens) >= 2 else None
+        if kind is not None:
             if len(tokens) < 3:
                 raise ParseError("gate %r has no children" % name, lineno)
-            decl = ("gate", GateKind(tokens[1]), tokens[2:])
+            kids = tokens[2:]
         elif len(tokens) == 2 and tokens[1].startswith("prob="):
             literal = tokens[1][len("prob="):]
+            ratio = "/" in literal
             try:
-                prob = Fraction(literal) if exact else float(literal)
+                prob = Fraction(literal) if exact or ratio else float(literal)
             except (ValueError, ZeroDivisionError):
                 raise ParseError("bad probability %r" % literal, lineno) from None
             if not (0 <= prob <= 1):
                 raise ParseError("probability %s outside [0,1]" % literal, lineno)
-            decl = ("be", prob)
+            if ratio and not exact:
+                prob = float(prob)
+            probs[len(names)] = prob
+            kind = GateKind.BE
+            kids = ()
         else:
             raise ParseError("cannot parse declaration %r" % line, lineno)
-        if name in decls:
+        if name in index:
             raise ParseError("node %r declared twice" % name, lineno)
-        decls[name] = decl
-        order.append(name)
+        index[name] = len(names)
+        names.append(name)
+        kinds.append(kind)
+        kid_names.append(kids)
     if toplevel is None:
         raise ParseError("no toplevel declaration")
-    if toplevel not in decls:
+    if toplevel not in index:
         raise ParseError("toplevel names unknown node %r" % toplevel)
-
-    names = list(order)
-    index = {name: i for i, name in enumerate(names)}
-    kinds = []
-    children = []
-    probs = {}
-    for i, name in enumerate(names):
-        decl = decls[name]
-        if decl[0] == "gate":
-            _, kind, kid_names = decl
-            kids = []
-            for kid in kid_names:
-                if kid not in index:
-                    raise ParseError(
-                        "gate %r references undeclared node %r" % (name, kid)
-                    )
-                kids.append(index[kid])
-            kinds.append(kind)
-            children.append(kids)
-        else:
-            kinds.append(GateKind.BE)
-            children.append([])
-            probs[i] = decl[1]
+    lookup = index.__getitem__
+    try:
+        children = [tuple(map(lookup, kids)) if kids else () for kids in kid_names]
+    except KeyError:
+        # name the first undeclared reference in declaration order
+        name, kid = next((name, kid) for name, kids in zip(names, kid_names)
+                         for kid in kids if kid not in index)
+        raise ParseError(
+            "gate %r references undeclared node %r" % (name, kid)
+        ) from None
     return FaultTree(names, kinds, children, probs, index[toplevel])
 
 
 def _format_prob(p) -> str:
     if isinstance(p, Fraction):
-        if p.denominator == 1:
-            return str(p.numerator)
         num, den = p.numerator, p.denominator
-        # emit a terminating decimal when the denominator allows it
+        # emit a terminating decimal (an integer when den == 1) when the
+        # denominator allows it, else the ratio
         d = den
         twos = 0
         while d % 2 == 0:
@@ -132,7 +129,7 @@ def _format_prob(p) -> str:
             digits = num * 10**shift // den
             s = str(digits).rjust(shift + 1, "0")
             return s[:-shift] + "." + s[-shift:] if shift else s
-        return repr(float(p))
+        return "%d/%d" % (num, den)
     return repr(p)
 
 

@@ -66,16 +66,27 @@ class FaultTree:
     def __init__(self, names, kinds, children, probs, root):
         self.names = tuple(names)
         self.kinds = tuple(kinds)
-        self.children = tuple(tuple(c) for c in children)
+        self.children = tuple(map(tuple, children))
         self.probs = dict(probs)
         self.root = root
         n = len(self.names)
-        parents = [[] for _ in range(n)]
+        # one tuple per gate, shared as the first parent of each child: far
+        # fewer objects than a list per node; only nodes with more parents
+        # get a tuple of their own
+        parents = [()] * n
+        more = {}  # node -> its parents after the first
         for v, kids in enumerate(self.children):
-            for w in kids:
-                parents[w].append(v)
-        self.parents = tuple(tuple(p) for p in parents)
-        self.name_to_id = {name: i for i, name in enumerate(self.names)}
+            if kids:
+                first = (v,)
+                for w in kids:
+                    if parents[w]:
+                        more.setdefault(w, []).append(v)
+                    else:
+                        parents[w] = first
+        for w, rest in more.items():
+            parents[w] += tuple(rest)
+        self.parents = tuple(parents)
+        self.name_to_id = dict(zip(self.names, range(n)))
         self._validate()
 
     # -- construction helpers -------------------------------------------
@@ -142,7 +153,39 @@ class FaultTree:
             raise ValidationError(
                 "node name %r cannot be written in the text format" % bad
             )
-        for v in range(n):
+        # Whole-tuple scans for what _check_nodes checks node by node; it
+        # runs only when a scan fails, and names the smallest offending id.
+        # A gate lists a child twice exactly when the child lists that gate
+        # twice among its parents.
+        probs = self.probs
+        bes = [v for v, kind in enumerate(self.kinds) if kind is GateKind.BE]
+        if not (
+            list(map(bool, self.children))
+            == [kind not in _LEAF_KINDS for kind in self.kinds]
+            and all(len(set(p)) == len(p) for p in self.parents if len(p) > 1)
+            and len(bes) == len(probs)
+            and all(map(probs.__contains__, bes))
+            and all(0 <= p <= 1 for p in probs.values())
+        ):
+            self._check_nodes()
+        sources = [v for v in range(n) if not self.parents[v]]
+        if all(min(kids) > v for v, kids in enumerate(self.children) if kids):
+            # every edge leads to a larger id, so the smallest-id-first pass
+            # would return the ids in ascending order (name_to_id holds them)
+            order = tuple(self.name_to_id.values())
+        else:
+            order = self._kahn(sources)
+        # acyclic, so every node lies below some parentless node: all are
+        # reachable exactly when the root is the only parentless node
+        if sources != [self.root]:
+            stray = next(v for v in sources if v != self.root)
+            raise ValidationError(
+                "node %r is unreachable from the root" % self.names[stray]
+            )
+        self.order = order
+
+    def _check_nodes(self):
+        for v in range(len(self.names)):
             kind = self.kinds[v]
             kids = self.children[v]
             if kind in _LEAF_KINDS:
@@ -174,10 +217,12 @@ class FaultTree:
                     "node %r is not a basic event but has a probability"
                     % self.names[v]
                 )
-        # Kahn's algorithm, smallest id first among the ready nodes
+
+    def _kahn(self, sources):
+        """Kahn's algorithm, smallest id first among the ready nodes."""
+        n = len(self.names)
         order = []
         indeg = [len(p) for p in self.parents]
-        sources = [v for v in range(n) if not indeg[v]]
         heap = sources[:]  # ascending, hence already a heap
         children, pop, push = self.children, heapq.heappop, heapq.heappush
         while heap:
@@ -191,14 +236,7 @@ class FaultTree:
         if len(order) != n:
             cyc = next(v for v in range(n) if indeg[v])
             raise ValidationError("cycle detected through node %r" % self.names[cyc])
-        # acyclic, so every node lies below some parentless node: all are
-        # reachable exactly when the root is the only parentless node
-        if sources != [self.root]:
-            stray = next(v for v in sources if v != self.root)
-            raise ValidationError(
-                "node %r is unreachable from the root" % self.names[stray]
-            )
-        self.order = tuple(order)
+        return tuple(order)
 
     def _reachable_from(self, v):
         return _reachable(self.children, v)

@@ -16,6 +16,7 @@ from sfpa import (
     GenConfig,
     Poly,
     generate,
+    immediate_dominators,
     pcft_unreliability,
     structure_function,
 )
@@ -149,6 +150,11 @@ def brute_force_idom(t: FaultTree, v):
         if all(u in reach[other] for other in common):
             return u
     raise AssertionError("no immediate dominator found")
+
+
+def idoms_by_name(t: FaultTree):
+    info = immediate_dominators(t)
+    return {t.names[v]: t.names[u] for v, u in info.idom.items()}
 
 
 def trees_equivalent(ta: FaultTree, tb: FaultTree) -> bool:

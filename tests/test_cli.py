@@ -75,6 +75,39 @@ class TestSolve:
         assert run(capsys, "solve", "--algo", algo, tree)[0] == 0
         assert len(calls) == 1
 
+    def test_no_option_carries_over_to_the_next_call(self, capsys, fig2_file):
+        # main builds its parser once and parses every call with it
+        exact = json.loads(run(capsys, "solve", "--exact", fig2_file)[1])
+        plain = json.loads(run(capsys, "solve", fig2_file)[1])
+        assert exact["exact"] is True
+        assert plain["exact"] is False
+        assert plain["unreliability"] == pytest.approx(0.3125, abs=1e-12)
+
+    def test_parse_and_build_are_called_where_a_tracer_patches_them(
+            self, capsys, monkeypatch, fig2_file):
+        # the per-layer trace wraps sfpa.cli.parse_ft and sfpa.galileo.FaultTree;
+        # a call that bypassed either would leave its span empty
+        import sfpa.cli
+        import sfpa.galileo
+
+        calls = []
+        parse, build = sfpa.cli.parse_ft, sfpa.galileo.FaultTree
+
+        def counted_parse(*args, **kwargs):
+            calls.append("parse")
+            return parse(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            calls.append("build")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sfpa.cli, "parse_ft", counted_parse)
+        monkeypatch.setattr(sfpa.galileo, "FaultTree", counted_build)
+        code, out, _ = run(capsys, "solve", fig2_file)
+        assert code == 0
+        assert json.loads(out)["unreliability"] == pytest.approx(0.3125, abs=1e-12)
+        assert sorted(calls) == ["build", "parse"]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", tmp_path / "nope.dft")
         assert code == 1

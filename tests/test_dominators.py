@@ -10,12 +10,13 @@ from sfpa import (
     immediate_dominators,
     topo_sort,
 )
-from helpers import brute_force_idom, fig2, make_rng, random_tree
-
-
-def idoms_by_name(t):
-    info = immediate_dominators(t)
-    return {t.names[v]: t.names[u] for v, u in info.idom.items()}
+from helpers import (
+    brute_force_idom,
+    fig2,
+    idoms_by_name,
+    make_rng,
+    random_tree,
+)
 
 
 def test_shared_be_example():

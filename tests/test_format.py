@@ -40,6 +40,26 @@ def test_parse_exact_probabilities():
     assert t.probs[t.root] == Fraction(1, 10)
 
 
+def test_ratio_probabilities():
+    text = 'toplevel "only";\n"only" prob=1/3;\n'
+    assert parse_ft(text, exact=True).probs[0] == Fraction(1, 3)
+    # float mode reads the float nearest to the ratio, the value that the
+    # decimal the serializer used to write for 1/3 reads as
+    old = parse_ft(text.replace("1/3", "0.3333333333333333")).probs[0]
+    assert parse_ft(text).probs[0] == float(Fraction(1, 3)) == old
+
+
+def test_exact_probabilities_round_trip():
+    t = FaultTree.build("top", {"top": ("or", ["a", "b"])},
+                        {"a": Fraction(1, 3), "b": Fraction(1, 4)})
+    text = serialize_ft(t)
+    assert text == ('toplevel "top";\n"top" or "a" "b";\n'
+                    '"a" prob=1/3;\n"b" prob=0.25;\n')
+    again = parse_ft(text, exact=True)
+    assert again.probs == t.probs
+    assert serialize_ft(again) == text
+
+
 def test_unquoted_names_accepted():
     t = parse_ft("toplevel top;\ntop and a b;\na prob=0.5;\nb prob=0.5;\n")
     assert set(t.names) == {"top", "a", "b"}
@@ -62,6 +82,9 @@ def test_comments_and_blank_lines():
         ('toplevel "g";\n"g" and;\n', "no children"),
         ('toplevel "b";\n"b" prob=0.5\n', "';'"),
         ('toplevel "b";\nwat is this;\n', "cannot parse"),
+        ('toplevel "b";\n"b" prob=1/0;\n', "bad probability"),
+        ('toplevel "b";\n"b" prob=1.5/2;\n', "bad probability"),
+        ('toplevel "b";\n"b" prob=4/3;\n', "outside"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -73,6 +96,56 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as info:
         parse_ft('toplevel "b";\n"b" prob=2;\n')
     assert info.value.line == 2
+
+
+_PROLOGUE = '// a comment\ntoplevel "g";\n\n"g" or "a";\n"a" prob=0.5;\n'
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('"b" prob=0.5', "declaration does not end with ';'"),
+        ("  ;  // empty", "empty declaration"),
+        ("toplevel a b;", "toplevel takes exactly one name"),
+        ('toplevel "b";', "toplevel already declared on line 2"),
+        ('"b" and;', "gate 'b' has no children"),
+        ('"b" prob=x;', "bad probability 'x'"),
+        ('"b" prob=2;', "probability 2 outside [0,1]"),
+        ('"b" xor "a";', "cannot parse declaration '\"b\" xor \"a\";'"),
+        ('"a" prob=0.5;', "node 'a' declared twice"),
+    ],
+)
+def test_line_level_errors_carry_their_line_number(line, message):
+    # the offending declaration is line 6: comment and blank lines count
+    with pytest.raises(ParseError) as info:
+        parse_ft(_PROLOGUE + line + "\n")
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: " + message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('"b" prob=0.5;\n', "no toplevel declaration"),
+        ('toplevel "c";\n"b" prob=0.5;\n', "toplevel names unknown node 'c'"),
+    ],
+)
+def test_whole_file_errors_carry_no_line_number(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_ft(text)
+    assert info.value.line is None
+    assert str(info.value) == message
+
+
+def test_undeclared_reference_names_the_first_gate_declared():
+    text = (
+        'toplevel "top";\n"top" or "g2" "g1";\n"g2" or "x" "zz" "yy";\n'
+        '"g1" or "aa" "x";\n"x" prob=0.5;\n'
+    )
+    with pytest.raises(ParseError) as info:
+        parse_ft(text)
+    assert info.value.line is None
+    assert str(info.value) == "gate 'g2' references undeclared node 'zz'"
 
 
 def test_cycle_reported():
@@ -194,9 +267,15 @@ _NAMES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32), data=st.data())
-def test_every_accepted_tree_round_trips(seed, data):
+@given(seed=st.integers(0, 2**32), exact=st.booleans(), data=st.data())
+def test_every_accepted_tree_round_trips(seed, exact, data):
     shape = random_tree(make_rng(seed), max_be=5, max_gates=4, max_multiparent=3)
+    if exact:
+        drawn = data.draw(st.lists(st.fractions(0, 1, max_denominator=10**6),
+                                   min_size=len(shape.probs),
+                                   max_size=len(shape.probs)))
+        shape = FaultTree(shape.names, shape.kinds, shape.children,
+                          dict(zip(shape.probs, drawn)), shape.root)
     names = data.draw(st.lists(_NAMES, min_size=len(shape),
                                max_size=len(shape), unique=True))
     try:
@@ -206,6 +285,6 @@ def test_every_accepted_tree_round_trips(seed, data):
         return
     assert all(map(writable, names))
     text = serialize_ft(t)
-    again = parse_ft(text)
+    again = parse_ft(text, exact=exact)
     assert described(again) == described(t)
     assert serialize_ft(again) == text

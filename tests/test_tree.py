@@ -1,9 +1,11 @@
 """Data model, structure function, cut sets, oracle, PCFT machinery."""
 
+import heapq
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfpa import (
     CapExceededError,
@@ -14,12 +16,15 @@ from sfpa import (
     cut_sets,
     interpolate,
     oracle_unreliability,
+    parse_ft,
     pcft_unreliability,
+    serialize_ft,
     structure_function,
 )
 from helpers import (
     fig1,
     fig2,
+    idoms_by_name,
     make_rng,
     random_tree,
     trees_equivalent,
@@ -84,6 +89,111 @@ class TestValidation:
     def test_single_child_gate_is_identity(self):
         t = FaultTree.build("top", {"top": ("and", ["a"])}, {"a": 0.3})
         assert oracle_unreliability(t) == pytest.approx(0.3)
+
+
+AND, OR, BE = GateKind.AND, GateKind.OR, GateKind.BE
+
+# Each case has two offending nodes, ids 1 and 2 (``probs`` lists the
+# larger id first); validation must name the node of smaller id.
+_TWO_OFFENDERS = {
+    "leaf with children": (
+        ["top", "a", "b", "c"], [OR, BE, BE, BE], [[1, 2], [3], [3], []],
+        {3: 0.5, 2: 0.5, 1: 0.5}, "leaf 'a' must not have children"),
+    "gate without children": (
+        ["top", "g1", "g2"], [OR, AND, OR], [[1, 2], [], []], {},
+        "gate 'g1' has no children"),
+    "child listed twice": (
+        ["top", "g1", "g2", "a"], [OR, AND, OR, BE], [[1, 2], [3, 3], [3, 3], []],
+        {3: 0.5}, "gate 'g1' lists a child twice"),
+    "no probability": (
+        ["top", "a", "b"], [OR, BE, BE], [[1, 2], [], []], {},
+        "basic event 'a' has no probability"),
+    "probability out of range": (
+        ["top", "a", "b"], [OR, BE, BE], [[1, 2], [], []], {2: 1.5, 1: -0.5},
+        r"probability -0.5 of 'a' outside \[0,1\]"),
+    "probability on a gate": (
+        ["top", "g1", "g2", "a"], [OR, OR, OR, BE], [[1, 2], [3], [3], []],
+        {3: 0.5, 2: 0.5, 1: 0.5},
+        "node 'g1' is not a basic event but has a probability"),
+    "probability on a gate, none on a basic event": (
+        ["top", "g1", "a", "b"], [OR, OR, BE, BE], [[1, 2], [3], [], []],
+        {3: 0.5, 1: 0.5}, "node 'g1' is not a basic event but has a probability"),
+    "cycle": (
+        ["top", "c1", "c2", "d1", "d2", "a"], [OR, AND, OR, AND, OR, BE],
+        [[1, 3], [2], [1, 5], [4], [3, 5], []], {5: 0.5},
+        "cycle detected through node 'c1'"),
+    "unreachable, ascending ids": (
+        ["top", "s1", "s2", "a"], [OR, OR, OR, BE], [[3], [3], [3], []],
+        {3: 0.5}, "node 's1' is unreachable"),
+    "unreachable, ids not ascending": (
+        ["a", "top", "s1", "s2"], [BE, OR, OR, OR], [[], [0], [0], [0]],
+        {0: 0.5}, "node 's1' is unreachable"),
+    "duplicate name": (
+        ["top", "b", "a", "b", "a"], [OR, BE, BE, BE, BE],
+        [[1, 2, 3, 4], [], [], [], []], {4: 0.5, 3: 0.5, 2: 0.5, 1: 0.5},
+        "duplicate node name 'b'"),
+    "unwritable name": (
+        ["top", 'x"y', "a//b"], [OR, BE, BE], [[1, 2], [], []],
+        {2: 0.5, 1: 0.5}, """node name 'x"y' cannot be written"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_OFFENDERS))
+def test_validation_names_the_smaller_offending_id(case):
+    names, kinds, children, probs, message = _TWO_OFFENDERS[case]
+    root = names.index("top")
+    with pytest.raises(ValidationError, match=message):
+        FaultTree(names, kinds, children, probs, root)
+
+
+def smallest_id_first(t):
+    """Reference order: Kahn's algorithm, smallest ready id first."""
+    indeg = [len(p) for p in t.parents]
+    heap = [v for v in range(len(t)) if not indeg[v]]
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for w in t.children[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                heapq.heappush(heap, w)
+    return tuple(order)
+
+
+def permuted(t, perm):
+    """``t`` with node v renumbered to ``perm[v]``."""
+    inverse = sorted(range(len(t)), key=perm.__getitem__)
+    return FaultTree(
+        [t.names[v] for v in inverse],
+        [t.kinds[v] for v in inverse],
+        [[perm[w] for w in t.children[v]] for v in inverse],
+        {perm[v]: p for v, p in t.probs.items()},
+        perm[t.root],
+    )
+
+
+def test_ascending_ids_are_the_order():
+    rng = make_rng(7)
+    for t in [fig1(), fig2()] + [random_tree(rng) for _ in range(50)]:
+        assert all(w > v for v in range(len(t)) for w in t.children[v])
+        assert t.order == tuple(range(len(t))) == smallest_id_first(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_ids_out_of_order_give_the_same_tree(seed, data):
+    t = random_tree(make_rng(seed), max_be=8, max_gates=7, max_multiparent=5)
+    p = permuted(t, data.draw(st.permutations(range(len(t)))))
+    assert p.order == smallest_id_first(p)
+    # the text lists gates in id order where the order leaves a choice,
+    # so it keeps its lines, and after a round trip its order too
+    text = serialize_ft(p)
+    assert sorted(text.splitlines()) == sorted(serialize_ft(t).splitlines())
+    again = parse_ft(text)
+    assert again.order == tuple(range(len(t)))
+    assert serialize_ft(again) == text
+    assert idoms_by_name(p) == idoms_by_name(t) == idoms_by_name(again)
 
 
 class TestStructureFunction:
