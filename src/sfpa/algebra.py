@@ -170,16 +170,36 @@ class Poly:
         """Replace a variable by a whole polynomial.
 
         Requires that the variable does not occur in the replacement.
-        Implemented as ``a[v->1] * b + a[v->0] * (1 - b)``, which agrees
-        with the coefficientwise definition of substitution.
+        Writes ``a`` as ``a0 + v*d``, where ``a0`` holds the terms without
+        ``v`` and ``d`` the terms with it, ``v`` removed; then
+        ``a[v := b] = a0 + d*b``.  ``a0`` seeds the result and ``d*b`` is
+        accumulated into it as ``__mul__`` accumulates, so one product is
+        made (a scaled copy of ``d`` when ``b`` is constant).  This equals
+        ``a[v->1]*b + a[v->0]*(1 - b)`` and the coefficientwise definition.
         """
-        if replacement.variable_mask() & _bit(index):
+        var = _bit(index)
+        if replacement.variable_mask() & var:
             raise AlgebraError(
                 "variable %d occurs in the replacement polynomial" % index
             )
-        return self.restrict(index, 1) * replacement + self.restrict(index, 0) * (
-            1 - replacement
-        )
+        out = {}
+        d = []
+        for mask, coeff in self.terms.items():
+            if mask & var:
+                d.append((mask ^ var, coeff))
+            else:
+                out[mask] = coeff
+        for m2, c2 in replacement.terms.items():
+            for m1, c1 in d:
+                mask = m1 | m2
+                acc = out.get(mask, 0) + c1 * c2
+                if acc == 0:
+                    out.pop(mask, None)
+                else:
+                    out[mask] = acc
+        result = Poly.__new__(Poly)
+        result.terms = out
+        return result
 
     def evaluate(self, assignment):
         """Evaluate at a full 0/1 assignment.

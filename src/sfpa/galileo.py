@@ -11,7 +11,8 @@ Line-oriented, UTF-8.  One declaration per line, terminated by ``;``:
 in any order.  Names may be quoted or bare; the serializer always quotes.
 A probability is a decimal literal or a ratio ``n/d`` of two integers;
 the serializer writes an exact probability as ``n/d`` when no
-terminating decimal equals it.
+terminating decimal equals it.  Read exactly, a decimal exponent past
+``_MAX_EXPONENT`` either way is a bad probability.
 ``FaultTree`` rejects every name the serializer could not write back: one
 containing ``"``, ``//`` or a line break, or the name ``toplevel``.
 The format covers plain fault trees only (no CBEs, no dynamic gates).
@@ -27,6 +28,10 @@ from .tree import FaultTree, GateKind
 
 _TOKEN = re.compile(r'"([^"]*)"|(\S+)')
 _GATE_KINDS = {"and": GateKind.AND, "or": GateKind.OR}
+#: Largest decimal exponent, either sign, of a probability read as a
+#: Fraction.  ``Fraction`` builds ``10**exponent`` whatever the digits, which
+#: for an exponent near 10**15 never returns; a float needs at most 324.
+_MAX_EXPONENT = 1000
 
 
 def parse_ft(text: str, exact: bool = False) -> FaultTree:
@@ -75,7 +80,13 @@ def parse_ft(text: str, exact: bool = False) -> FaultTree:
             literal = tokens[1][len("prob="):]
             ratio = "/" in literal
             try:
-                prob = Fraction(literal) if exact or ratio else float(literal)
+                if exact or ratio:
+                    exponent = literal.lower().partition("e")[2]
+                    if exponent and abs(int(exponent)) > _MAX_EXPONENT:
+                        raise ValueError("exponent out of range")
+                    prob = Fraction(literal)
+                else:
+                    prob = float(literal)
             except (ValueError, ZeroDivisionError):
                 raise ParseError("bad probability %r" % literal, lineno) from None
             if not (0 <= prob <= 1):

@@ -46,6 +46,11 @@ toplevel "planecrash";
 "lrf" prob=0.4;
 """
 
+#: Probability literals whose exponent ``Fraction`` cannot raise 10 to:
+#: floats read them as inf, 0.0 and 0.0.
+HUGE_EXPONENTS = ("0.5e4573754160865701", "1e-4573754160865701",
+                  "0e4573754160865701")
+
 
 def fig2(p=0.5):
     """Two ORs sharing a basic event, under an AND, under the root AND."""

@@ -168,3 +168,68 @@ class TestLaws:
             assert interpolate(tabulate(poly, vars), vars) == poly
             table = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)]
             assert tabulate(interpolate(table, vars), vars) == table
+
+
+class TestSubstitute:
+    """Substitution at any index, and the edge cases of ``a0 + d*b``."""
+
+    CASES = 300
+
+    def _operands(self, rng, rational=True):
+        # a variable up to 40 and the replacement's variables, drawn apart
+        index, *others = rng.sample(range(41), 6)
+        a = random_poly(rng, [index] + others, rational=rational)
+        b = random_poly(rng, others, rational=rational)
+        return a, index, b
+
+    def test_matches_definition_at_any_index(self):
+        rng = make_rng(108)
+        for _ in range(self.CASES):
+            a, index, b = self._operands(rng)
+            assert a.substitute(index, b) == substitute_by_definition(a, index, b)
+
+    def test_absent_variable_leaves_the_polynomial(self):
+        a = p_alpha()
+        result = a.substitute(Z, Poly.variable(Y) + 3)
+        assert result == a
+        assert result.terms is not a.terms
+
+    def test_constant_replacements(self):
+        a = p_beta()  # x + 3xz
+        assert a.substitute(Z, Poly()) == Poly.variable(X)
+        assert a.substitute(Z, Poly.constant(1)) == 4 * Poly.variable(X)
+        half = a.substitute(Z, Poly.constant(Fraction(1, 2)))
+        assert half == Poly({1 << X: Fraction(5, 2)})
+        rng = make_rng(109)
+        for _ in range(self.CASES):
+            a, index, _ = self._operands(rng)
+            for c in (0, 1, Fraction(rng.randint(-6, 6), rng.randint(1, 6))):
+                b = Poly.constant(c)
+                assert a.substitute(index, b) == substitute_by_definition(a, index, b)
+
+    def test_cancellation_stores_no_zero(self):
+        x, y = Poly.variable(X), Poly.variable(Y)
+        result = (x - y).substitute(X, y)
+        assert result == Poly()
+        assert result.terms == {}
+        # a product that underflows to 0.0 is not stored either
+        tiny = Poly({1 << X: 1e-200}).substitute(X, Poly.constant(1e-200))
+        assert tiny.terms == {}
+
+    def test_operands_are_not_mutated(self):
+        rng = make_rng(110)
+        for _ in range(self.CASES):
+            a, index, b = self._operands(rng)
+            a_terms, b_terms = dict(a.terms), dict(b.terms)
+            a.substitute(index, b)
+            assert a.terms == a_terms
+            assert b.terms == b_terms
+
+    def test_float_agrees_with_restriction_form(self):
+        rng = make_rng(111)
+        for _ in range(self.CASES):
+            a, index, b = self._operands(rng, rational=False)
+            lhs = a.substitute(index, b)
+            rhs = a.restrict(index, 1) * b + a.restrict(index, 0) * (1 - b)
+            for mask in lhs.terms.keys() | rhs.terms.keys():
+                assert abs(lhs.terms.get(mask, 0) - rhs.terms.get(mask, 0)) <= 1e-12

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import time
 
 import pytest
 
 from sfpa.cli import main
-from helpers import FIG1_TEXT, fig2
+from helpers import FIG1_TEXT, HUGE_EXPONENTS, fig2
 from sfpa import serialize_ft
 
 
@@ -119,6 +120,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", bad)
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("literal", HUGE_EXPONENTS)
+    def test_huge_exponent_is_refused_at_once(self, capsys, tmp_path, literal):
+        bad = tmp_path / "bad.dft"
+        bad.write_text('toplevel "b";\n"b" prob=%s;\n' % literal)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "solve", "--exact", bad)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "bad probability" in err
 
 
 class TestCheck:

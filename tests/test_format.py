@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sfpa.galileo
 from sfpa import (
     FaultTree,
     GateKind,
@@ -15,7 +16,14 @@ from sfpa import (
     parse_ft,
     serialize_ft,
 )
-from helpers import FIG1_TEXT, fig2, make_rng, random_tree, trees_equivalent
+from helpers import (
+    FIG1_TEXT,
+    HUGE_EXPONENTS,
+    fig2,
+    make_rng,
+    random_tree,
+    trees_equivalent,
+)
 
 
 def test_parse_fig1():
@@ -85,11 +93,38 @@ def test_comments_and_blank_lines():
         ('toplevel "b";\n"b" prob=1/0;\n', "bad probability"),
         ('toplevel "b";\n"b" prob=1.5/2;\n', "bad probability"),
         ('toplevel "b";\n"b" prob=4/3;\n', "outside"),
+        *(('toplevel "b";\n"b" prob=%s;\n' % literal, "bad probability")
+          for literal in HUGE_EXPONENTS),
     ],
 )
 def test_parse_errors(text, fragment):
+    # every case fails in exact mode; a huge exponent fails only there
     with pytest.raises(ParseError, match=fragment):
-        parse_ft(text)
+        parse_ft(text, exact=True)
+    if not any(literal in text for literal in HUGE_EXPONENTS):
+        with pytest.raises(ParseError, match=fragment):
+            parse_ft(text)
+
+
+def test_huge_exponents_in_float_mode():
+    big, tiny, zero = HUGE_EXPONENTS
+    with pytest.raises(ParseError, match="outside"):
+        parse_ft('toplevel "b";\n"b" prob=%s;\n' % big)
+    for literal in (tiny, zero):
+        t = parse_ft('toplevel "b";\n"b" prob=%s;\n' % literal)
+        assert t.probs[0] == 0.0 and type(t.probs[0]) is float
+
+
+def test_exact_exponent_bound():
+    bound = sfpa.galileo._MAX_EXPONENT
+    for exponent in (bound, -bound):
+        t = parse_ft('toplevel "b";\n"b" prob=0e%d;\n' % exponent, exact=True)
+        assert t.probs[0] == 0
+    t = parse_ft('toplevel "b";\n"b" prob=1e-%d;\n' % bound, exact=True)
+    assert t.probs[0] == Fraction(1, 10**bound)
+    for exponent in (bound + 1, -bound - 1):
+        with pytest.raises(ParseError, match="bad probability"):
+            parse_ft('toplevel "b";\n"b" prob=0e%d;\n' % exponent, exact=True)
 
 
 def test_parse_error_carries_line_number():
