@@ -75,7 +75,9 @@ def parse_ft(text: str, exact: bool = False) -> FaultTree:
         if kind is not None:
             if len(tokens) < 3:
                 raise ParseError("gate %r has no children" % name, lineno)
-            kids = tokens[2:]
+            # a tuple of strings leaves the cyclic GC's care at its first
+            # collection; a list would be rescanned by every later one
+            kids = tuple(tokens[2:])
         elif len(tokens) == 2 and tokens[1].startswith("prob="):
             literal = tokens[1][len("prob="):]
             ratio = "/" in literal

@@ -1,8 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here (exhaustive path enumeration for dominators, the
-coefficientwise substitution formula, truth-table equivalence of trees)
-are deliberately naive and separate from the library code they check.
+coefficientwise substitution formula, truth-table equivalence of trees,
+the variable budget by graph walks, the cut-set reduction over
+``Fraction``s) are deliberately naive and separate from the library code
+they check.
 """
 
 from __future__ import annotations
@@ -12,14 +14,19 @@ import random
 from fractions import Fraction
 
 from sfpa import (
+    CapExceededError,
     FaultTree,
     GenConfig,
+    NoCutSetError,
     Poly,
+    ValidationError,
     generate,
     immediate_dominators,
     pcft_unreliability,
+    solve_sfpa2,
     structure_function,
 )
+from sfpa.solver import MCS_CAP
 
 
 def fig1():
@@ -118,6 +125,58 @@ def substitute_by_definition(a: Poly, x: int, b: Poly) -> Poly:
             mask = rest | mask_b
             out[mask] = out.get(mask, 0) + ca * cb
     return Poly(out)
+
+
+def variable_budget_by_walks(t: FaultTree, dom=None) -> int:
+    """Live-variable budget by definition: for each multiparent node w,
+    walk up to its ancestors and down from its immediate dominator, and
+    count w at every node in both sets."""
+    if dom is None:
+        dom = immediate_dominators(t)
+    live = [0] * len(t)
+    for w in t.multiparent_nodes():
+        ancestors = set()
+        stack = [w]
+        while stack:
+            u = stack.pop()
+            for p in t.parents[u]:
+                if p not in ancestors:
+                    ancestors.add(p)
+                    stack.append(p)
+        idw = dom.idom[w]
+        below_idw = {idw}
+        stack = [idw]
+        while stack:
+            u = stack.pop()
+            for kid in t.children[u]:
+                if kid not in below_idw:
+                    below_idw.add(kid)
+                    stack.append(kid)
+        for v in ancestors & below_idw:
+            live[v] += 1
+    return max(live, default=0)
+
+
+def minimal_cut_set_by_fractions(t: FaultTree, cap: int = MCS_CAP):
+    """The minimal-cut-set reduction over exact rationals: the rigged
+    solve in ``Fraction``s, and the leading digit found by multiplying
+    by ten until the value reaches one."""
+    bes = sorted(t.basic_events(), key=lambda v: t.names[v])
+    if len(bes) > cap:
+        raise CapExceededError(len(bes), cap)
+    probs = {v: Fraction(1, 10 ** (2**i)) for i, v in enumerate(bes)}
+    rigged = FaultTree(t.names, t.kinds, t.children, probs, t.root)
+    value = solve_sfpa2(rigged).unreliability
+    if value == 0:
+        raise NoCutSetError("the tree has no cut sets")
+    num, den = value.numerator, value.denominator
+    if num >= den:
+        raise ValidationError("unexpected unreliability >= 1")
+    kappa = 0
+    while num < den:
+        num *= 10
+        kappa += 1
+    return frozenset(bes[i] for i in range(len(bes)) if (kappa >> i) & 1)
 
 
 def all_paths(t: FaultTree, v):

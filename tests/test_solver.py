@@ -1,14 +1,18 @@
 """The polynomial solvers: golden values, cross-checks, instrumentation."""
 
+import decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfpa import (
     CapExceededError,
     FaultTree,
+    GenConfig,
     NotATreeError,
     cut_sets,
+    generate,
     immediate_dominators,
     minimal_cut_set_via_reduction,
     oracle_unreliability,
@@ -17,7 +21,14 @@ from sfpa import (
     solve_treelike,
     variable_budget,
 )
-from helpers import fig1, fig2, make_rng, random_tree
+from helpers import (
+    fig1,
+    fig2,
+    make_rng,
+    minimal_cut_set_by_fractions,
+    random_tree,
+    variable_budget_by_walks,
+)
 
 
 class TestGoldenValues:
@@ -145,6 +156,16 @@ class TestVariableBudget:
             c = variable_budget(t, dom)
             assert solve_sfpa2(t, dom).max_terms <= 2 ** c
 
+    def test_one_pass_matches_the_walks(self):
+        rng = make_rng(37)
+        trees = [random_tree(rng, max_be=12, max_gates=10, max_multiparent=10)
+                 for _ in range(300)]
+        trees += [generate(GenConfig(seed=s, n_be=60, n_gates=40, n_multiparent=m))
+                  for s in range(5) for m in (5, 20, 60)]
+        for t in trees:
+            dom = immediate_dominators(t)
+            assert variable_budget(t, dom) == variable_budget_by_walks(t, dom)
+
 
 class TestMinimalCutSet:
     def test_or_gate_picks_single_event(self):
@@ -180,9 +201,79 @@ class TestMinimalCutSet:
         with pytest.raises(CapExceededError):
             minimal_cut_set_via_reduction(t)
 
+    def test_matches_the_fraction_reduction(self):
+        rng = make_rng(38)
+        for _ in range(300):
+            t = random_tree(rng, max_be=16, max_gates=10, max_multiparent=8)
+            assert minimal_cut_set_via_reduction(t) == minimal_cut_set_by_fractions(t)
+        for n_be in (14, 16):
+            for seed in range(3):
+                t = generate(GenConfig(seed=seed, n_be=n_be, n_gates=10,
+                                       n_multiparent=4))
+                assert (minimal_cut_set_via_reduction(t)
+                        == minimal_cut_set_by_fractions(t))
+
+    def test_leading_digit_at_a_power_of_ten(self):
+        # U = 10**-1 exactly: the leading digit is the value's only digit
+        t = FaultTree.build("top", {"top": ("or", ["v0"])}, {"v0": 0.5})
+        assert minimal_cut_set_via_reduction(t) == frozenset({t.name_to_id["v0"]})
+
+    def test_and_gate_at_the_cap(self):
+        # kappa = 2**16 - 1: U has its leading digit 65 535 places down
+        probs = {"b%02d" % i: 0.5 for i in range(16)}
+        t = FaultTree.build("top", {"top": ("and", list(probs))}, probs)
+        assert minimal_cut_set_via_reduction(t) == frozenset(t.basic_events())
+
+    def test_caller_decimal_context_is_ignored_and_kept(self):
+        t = generate(GenConfig(seed=2, n_be=16, n_gates=10, n_multiparent=4))
+        expected = minimal_cut_set_by_fractions(t)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.traps[decimal.Inexact] = True
+            before = (ctx.prec, ctx.Emin, ctx.Emax, dict(ctx.traps))
+            assert minimal_cut_set_via_reduction(t) == expected
+            after = decimal.getcontext()
+            assert after is ctx
+            assert (after.prec, after.Emin, after.Emax, dict(after.traps)) == before
+
     def test_exact_probabilities_in_input_are_ignored(self):
         # the reduction rigs its own probabilities, so the input's do not
         # matter for the answer
         a = fig1()
         b = a.with_exact_probs()
         assert minimal_cut_set_via_reduction(a) == minimal_cut_set_via_reduction(b)
+
+
+# Properties over generated trees of at most 12 basic events, so that the
+# cut-set enumeration stays fast.
+_SEEDS = st.integers(0, 2**48)
+
+
+def _small_tree(seed, exact=False):
+    return random_tree(make_rng(seed), max_be=12, max_gates=10,
+                       max_multiparent=8, exact=exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS)
+def test_float_solve_agrees_with_exact_solve(seed):
+    t = _small_tree(seed)
+    exact = solve_sfpa2(t.with_exact_probs()).unreliability
+    assert abs(solve_sfpa2(t).unreliability - exact) <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS)
+def test_plain_and_optimized_solves_agree_exactly(seed):
+    t = _small_tree(seed, exact=True)
+    assert solve_sfpa(t).unreliability == solve_sfpa2(t).unreliability
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS)
+def test_reduction_returns_a_minimal_cut_set(seed):
+    t = _small_tree(seed)
+    mcs = minimal_cut_set_via_reduction(t)
+    sets = cut_sets(t)
+    assert mcs in sets
+    assert not any(s < mcs for s in sets)
