@@ -3,10 +3,10 @@
 The polynomial method processes nodes leaves-first.  Each node gets an
 expression for its failure probability in which shared (multiparent)
 descendants appear as formal variables; a variable is substituted by its
-numeric (or polynomial) value exactly at the immediate dominator of the
-node it stands for, the earliest point at which no second copy can show
-up in the computation.  At the root all variables are gone and the
-constant left over is the unreliability.  Every solver visits the nodes
+numeric (or polynomial) value inside the immediate dominator of the node
+it stands for, where no second copy can show up any more: as soon as the
+last factor holding it is in, in min-width order.  At the root all
+variables are gone and the constant left over is the unreliability.  Every solver visits the nodes
 in the tree's stored topological order reversed, which is children-first.
 Any children-first order gives the same values and counters; a
 depth-first order would not save memory either, since the solvers keep
@@ -54,8 +54,9 @@ class SolveReport:
 
     ``unreliability`` is the raw computed value (float mode may stray
     from [0,1] by rounding; ``clamped()`` reports it pinned back).
-    ``max_live_vars`` is the largest number of formal variables alive in
-    any node expression, ``max_terms`` the largest term count,
+    ``max_live_vars`` and ``max_terms`` are the peak variable and term
+    counts over every node expression and, in ``solve_sfpa2``, every
+    product and substitution result of a gate dominating multiparent nodes;
     ``substitutions``/``multiplications`` count polynomial operations.
     With ``capture=True`` the plain algorithm also records ``history``:
     for each node, its expression after construction and after every
@@ -70,6 +71,13 @@ class SolveReport:
     multiplications: int = 0
     wall_time: float = 0.0
     history: dict[int, list[Poly]] | None = field(default=None, repr=False)
+
+    def record(self, poly: Poly) -> int:
+        """Raise the peak counters to ``poly``'s; return its variable mask."""
+        mask = poly.variable_mask()
+        self.max_terms = max(self.max_terms, len(poly))
+        self.max_live_vars = max(self.max_live_vars, mask.bit_count())
+        return mask
 
     def clamped(self):
         return min(max(self.unreliability, 0), 1)
@@ -88,9 +96,9 @@ def _require_plain_ft(t: FaultTree):
 
 def _grouped_by_idom(t: FaultTree, dom: DominatorInfo, only_multiparent=False):
     """For each node, the nodes it immediately dominates, closest first
-    (forward topological order is exactly the maximal-first order the
-    substitution loop needs).  The optimized algorithm only ever
-    substitutes multiparent nodes, so it can ask for just those."""
+    (forward topological order: the plain algorithm substitutes in it, the
+    optimized one breaks its min-width ties by it).  The optimized
+    algorithm only substitutes multiparent nodes, so asks for just those."""
     groups = {}
     for w in dom.topo_order:
         if w == t.root:
@@ -99,6 +107,52 @@ def _grouped_by_idom(t: FaultTree, dom: DominatorInfo, only_multiparent=False):
             continue
         groups.setdefault(dom.idom[w], []).append(w)
     return groups
+
+
+def _eliminate(factors, pending, g, num, report):
+    """Bucket elimination inside one gate (Dechter, AI 113, 1999).
+
+    Takes the gate's polynomial child factors and the multiparent nodes
+    it immediately dominates.  Each step picks the pending ``w`` whose
+    elimination touches the fewest other variables (min-width), multiplies
+    only the factors holding ``w``, smallest first, and substitutes
+    ``g[w]``: substitution commutes with a factor lacking ``w``.  Returns
+    ``num`` times the constant results and the factors left, smallest
+    first.
+    """
+    bucket = [(p.variable_mask(), p) for p in factors]
+    left = {w: g[w].variable_mask() if isinstance(g[w], Poly) else 0
+            for w in pending}
+
+    def width(w):
+        touched = left[w]
+        for m, _ in bucket:
+            if m >> w & 1:
+                touched |= m
+        return (touched & ~(1 << w)).bit_count()
+
+    while left:
+        # a w that a pending g[u] holds waits: substituting u brings it in
+        w = min((u for u in left
+                 if not any(m >> u & 1 for m in left.values())), key=width)
+        del left[w]
+        holders = sorted((p for m, p in bucket if m >> w & 1), key=len)
+        if not holders:
+            continue  # w never surfaced here
+        bucket = [f for f in bucket if not f[0] >> w & 1]
+        poly = holders[0]
+        for p in holders[1:]:
+            poly = poly * p
+            report.record(poly)
+        gw = g[w]
+        poly = poly.substitute(w, gw if isinstance(gw, Poly) else Poly.constant(gw))
+        report.substitutions += 1
+        mask = report.record(poly)
+        if mask:
+            bucket.append((mask, poly))
+        else:
+            num = num * poly.constant_value()
+    return num, sorted((p for _, p in bucket), key=len)
 
 
 def solve_sfpa(t: FaultTree, dom: DominatorInfo | None = None,
@@ -112,10 +166,6 @@ def solve_sfpa(t: FaultTree, dom: DominatorInfo | None = None,
     report = SolveReport(unreliability=None, algorithm="sfpa",
                          history={} if capture else None)
     g: dict[int, Poly] = {}
-
-    def record(poly):
-        report.max_terms = max(report.max_terms, len(poly))
-        report.max_live_vars = max(report.max_live_vars, len(poly.variables()))
 
     for v in reversed(t.order):
         kind = t.kinds[v]
@@ -133,18 +183,18 @@ def solve_sfpa(t: FaultTree, dom: DominatorInfo | None = None,
                     acc = acc * (1 - Poly.variable(w))
                     report.multiplications += 1
                 gv = 1 - acc
-            record(gv)
+            report.record(gv)
             if capture:
                 report.history[v] = [gv]
             for w in groups.get(v, ()):
                 gv = gv.substitute(w, g[w])
                 report.substitutions += 1
-                record(gv)
+                report.record(gv)
                 if capture:
                     report.history[v].append(gv)
                 else:
                     del g[w]
-        record(gv)
+        report.record(gv)
         if capture and kind is GateKind.BE:
             report.history[v] = [gv]
         g[v] = gv
@@ -159,9 +209,10 @@ def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
 
     Single-parent children are folded into the gate expression without
     ever becoming formal variables, so variables exist only for
-    multiparent nodes; the substitution loop handles every remaining
-    node whose immediate dominator is the gate.  On a tree-shaped input
-    this degenerates to the classical numeric bottom-up pass.
+    multiparent nodes; a gate that immediately dominates some substitutes
+    each inside itself as soon as the last factor holding it is in, in
+    min-width order (``_eliminate``).  On a tree-shaped input this
+    degenerates to the classical numeric bottom-up pass.
 
     The body is written with flat lists and hoisted locals; on large
     DAGs the solve is memory-bound and dict/attribute traffic would
@@ -184,11 +235,9 @@ def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
         g[v] = p
     poly_cls = Poly
     variable = Poly.variable
-    constant = Poly.constant
     kind_be = GateKind.BE
     kind_or = GateKind.OR
     multiplications = 0
-    substitutions = 0
 
     for v in reversed(t.order):
         kind = kinds[v]
@@ -196,42 +245,33 @@ def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
             continue
         invert = kind is kind_or  # OR(v) = 1 - prod(1 - children)
         num = 1
-        poly = None
+        polys = []
         for w in children[v]:
             val = g[w] if single[w] else variable(w)
             if invert:
                 val = 1 - val
             if val.__class__ is poly_cls:
-                poly = val if poly is None else poly * val
+                polys.append(val)
             else:
                 num = num * val
         multiplications += len(children[v])
-        if poly is None:
-            gv = 1 - num if invert else num
-        else:
-            gv = poly if num == 1 else poly * num
-            if invert:
-                gv = 1 - gv
-            report.max_terms = max(report.max_terms, len(gv))
-            report.max_live_vars = max(report.max_live_vars,
-                                       len(gv.variables()))
-        for w in groups.get(v, ()):
-            gw = g[w]
-            if not isinstance(gv, poly_cls):
-                continue  # variable never surfaced here
-            if not isinstance(gw, poly_cls):
-                gw = constant(gw)
-            gv = gv.substitute(w, gw)
-            substitutions += 1
-            report.max_terms = max(report.max_terms, len(gv))
-            report.max_live_vars = max(report.max_live_vars,
-                                       len(gv.variables()))
-        if isinstance(gv, poly_cls) and gv.is_constant():
-            gv = gv.constant_value()
-        g[v] = gv
+        pending = groups.get(v)
+        if pending and polys:
+            num, polys = _eliminate(polys, pending, g, num, report)
+        if not polys:
+            g[v] = 1 - num if invert else num
+            continue
+        poly = polys[0]
+        for val in polys[1:]:
+            poly = poly * val
+            if pending:
+                report.record(poly)
+        gv = poly if num == 1 else poly * num
+        if invert:
+            gv = 1 - gv
+        g[v] = gv.constant_value() if report.record(gv) == 0 else gv
 
     report.multiplications = multiplications
-    report.substitutions = substitutions
     value = g[t.root]
     report.unreliability = (
         value.constant_value() if isinstance(value, poly_cls) else value

@@ -16,6 +16,7 @@ from fractions import Fraction
 from sfpa import (
     CapExceededError,
     FaultTree,
+    GateKind,
     GenConfig,
     NoCutSetError,
     Poly,
@@ -177,6 +178,53 @@ def minimal_cut_set_by_fractions(t: FaultTree, cap: int = MCS_CAP):
         num *= 10
         kappa += 1
     return frozenset(bes[i] for i in range(len(bes)) if (kappa >> i) & 1)
+
+
+def solve_sfpa2_by_idom_order(t: FaultTree):
+    """The optimized solve with the whole-gate order, as a reference: each
+    gate multiplies all its child factors in child order, then substitutes
+    the multiparent nodes it immediately dominates in forward topological
+    order.  Returns the unreliability."""
+    dom = immediate_dominators(t)
+    pending = {}
+    for w in t.order:
+        if len(t.parents[w]) > 1:
+            pending.setdefault(dom.idom[w], []).append(w)
+    g = dict(t.probs)
+    for v in reversed(t.order):
+        if t.kinds[v] is GateKind.BE:
+            continue
+        invert = t.kinds[v] is GateKind.OR
+        gv = 1
+        for w in t.children[v]:
+            val = g[w] if len(t.parents[w]) == 1 else Poly.variable(w)
+            gv = gv * (1 - val if invert else val)
+        if invert:
+            gv = 1 - gv
+        for w in pending.get(v, ()):
+            if isinstance(gv, Poly):
+                gw = g[w] if isinstance(g[w], Poly) else Poly.constant(g[w])
+                gv = gv.substitute(w, gw)
+        if isinstance(gv, Poly) and gv.is_constant():
+            gv = gv.constant_value()
+        g[v] = gv
+    return g[t.root]
+
+
+def relabelled(t: FaultTree, rng) -> FaultTree:
+    """The same tree under a random node-id permutation, with every gate's
+    children in a random order."""
+    perm = list(range(len(t)))
+    rng.shuffle(perm)  # old id -> new id
+    inverse = sorted(range(len(t)), key=perm.__getitem__)
+    children = []
+    for old in inverse:
+        kids = [perm[c] for c in t.children[old]]
+        rng.shuffle(kids)
+        children.append(kids)
+    return FaultTree([t.names[old] for old in inverse],
+                     [t.kinds[old] for old in inverse], children,
+                     {perm[v]: p for v, p in t.probs.items()}, perm[t.root])
 
 
 def all_paths(t: FaultTree, v):

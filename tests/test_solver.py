@@ -27,8 +27,18 @@ from helpers import (
     make_rng,
     minimal_cut_set_by_fractions,
     random_tree,
+    relabelled,
+    solve_sfpa2_by_idom_order,
     variable_budget_by_walks,
 )
+
+#: The (n_multiparent, seed) pairs of the benchmark's ``shared_dense``
+#: trees, GenConfig(n_be=120, n_gates=80).
+SHARED_DENSE = [
+    (21, 6), (22, 2), (21, 9), (26, 3), (20, 11), (20, 7), (23, 6),
+    (28, 9), (24, 6), (27, 0), (20, 8), (28, 0), (27, 3), (23, 9),
+    (22, 8), (29, 2), (30, 9), (30, 0), (25, 6), (27, 10),
+]
 
 
 class TestGoldenValues:
@@ -116,6 +126,63 @@ class TestAgreement:
             t = random_tree(rng, max_be=8, max_gates=8, max_multiparent=6)
             dom = immediate_dominators(t)
             assert solve_sfpa2(t, dom).max_live_vars <= variable_budget(t, dom)
+
+
+class TestEliminationOrder:
+    def test_matches_the_whole_gate_order_exactly(self):
+        for m in (0, 3, 10):
+            for seed in range(300):
+                t = generate(GenConfig(seed=seed, n_be=12, n_gates=9,
+                                       n_multiparent=m)).with_exact_probs()
+                assert (solve_sfpa2(t).unreliability
+                        == solve_sfpa2_by_idom_order(t))
+
+    def test_a_variable_held_by_a_pending_value_waits(self):
+        # top dominates w and w2, and g[w] = z*w2 holds w2.  w2 touches
+        # only w, w touches w2 and s, so min-width alone would take w2
+        # first and the substitution of w would bring w2 back.
+        half = Fraction(1, 2)
+        t = FaultTree.build(
+            "root",
+            {"root": ("and", ["top", "s"]), "top": ("and", ["a", "b"]),
+             "a": ("or", ["w", "x"]), "b": ("or", ["w", "s"]),
+             "x": ("or", ["w2", "e1"]), "w": ("and", ["w2", "z"]),
+             "w2": ("or", ["e2", "e3"])},
+            {n: half for n in ("s", "e1", "e2", "e3", "z")},
+        )
+        dom = immediate_dominators(t)
+        ids = t.name_to_id
+        assert dom.idom[ids["w"]] == dom.idom[ids["w2"]] == ids["top"]
+        r = solve_sfpa2(t, dom)
+        assert r.unreliability == oracle_unreliability(t)
+        assert r.unreliability == solve_sfpa2_by_idom_order(t)
+        assert r.substitutions == 3  # w, w2 at top; s at root
+
+    def test_a_variable_that_never_surfaces_is_skipped(self):
+        # w's factors vanish (AND with a 0, OR with a 1), so at top only
+        # u is substituted
+        t = FaultTree.build(
+            "top",
+            {"top": ("and", ["c", "d", "f", "h"]), "c": ("and", ["w", "off"]),
+             "d": ("or", ["w", "on"]), "f": ("or", ["u", "e1"]),
+             "h": ("or", ["u", "e2"]), "w": ("or", ["e3", "e4"])},
+            {"off": Fraction(0), "on": Fraction(1), "u": Fraction(1, 3),
+             "e1": Fraction(1, 4), "e2": Fraction(1, 5),
+             "e3": Fraction(1, 6), "e4": Fraction(1, 7)},
+        )
+        dom = immediate_dominators(t)
+        ids = t.name_to_id
+        assert dom.idom[ids["w"]] == dom.idom[ids["u"]] == ids["top"]
+        r = solve_sfpa2(t, dom)
+        assert r.unreliability == oracle_unreliability(t)
+        assert r.substitutions == 1
+
+    def test_shared_dense_peak_terms(self):
+        # the whole-gate order reached 65 536 terms on these trees
+        for m, seed in SHARED_DENSE:
+            t = generate(GenConfig(seed=seed, n_be=120, n_gates=80,
+                                   n_multiparent=m))
+            assert solve_sfpa2(t).max_terms <= 8192
 
 
 class TestTreelike:
@@ -277,3 +344,14 @@ def test_reduction_returns_a_minimal_cut_set(seed):
     sets = cut_sets(t)
     assert mcs in sets
     assert not any(s < mcs for s in sets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS, relabel_seed=_SEEDS)
+def test_exact_unreliability_survives_relabelling_and_child_order(
+        seed, relabel_seed):
+    t = _small_tree(seed, exact=True)
+    u = relabelled(t, make_rng(relabel_seed))
+    expected = solve_sfpa2(t).unreliability
+    assert solve_sfpa2(u).unreliability == expected
+    assert solve_sfpa(u).unreliability == expected
