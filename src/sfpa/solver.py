@@ -6,16 +6,16 @@ descendants appear as formal variables; a variable is substituted by its
 numeric (or polynomial) value inside the immediate dominator of the node
 it stands for, where no second copy can show up any more: as soon as the
 last factor holding it is in, in min-width order.  At the root all
-variables are gone and the constant left over is the unreliability.  Every solver visits the nodes
-in the tree's stored topological order reversed, which is children-first.
-Any children-first order gives the same values and counters; a
-depth-first order would not save memory either, since the solvers keep
-every node's value until the end.
+variables are gone and the constant left over is the unreliability.
+Every solver visits the nodes in the tree's stored topological order
+reversed, which is children-first.  Any children-first order gives the
+same values and counters; a depth-first order would not save memory
+either, since the solvers keep every node's value until the end.
 
-Two variants are provided: the plain one introduces a variable for every
-gate child and substitutes it away immediately when possible, while the
+Both polynomial algorithms run one loop and differ only in which nodes
+become variables: the plain one gives every gate child a variable, the
 optimized one folds single-parent children directly into the gate
-expression and only ever creates variables for multiparent nodes.
+expression and gives variables to multiparent nodes only.
 
 Probabilities drive the coefficient field: build the tree with floats
 for speed or with Fractions (see FaultTree.with_exact_probs) for exact
@@ -55,12 +55,13 @@ class SolveReport:
     ``unreliability`` is the raw computed value (float mode may stray
     from [0,1] by rounding; ``clamped()`` reports it pinned back).
     ``max_live_vars`` and ``max_terms`` are the peak variable and term
-    counts over every node expression and, in ``solve_sfpa2``, every
-    product and substitution result of a gate dominating multiparent nodes;
-    ``substitutions``/``multiplications`` count polynomial operations.
+    counts over every node value and every product and substitution
+    result inside a gate that substitutes variables; ``multiplications``
+    counts gate child factors and ``substitutions`` substituted variables.
     With ``capture=True`` the plain algorithm also records ``history``:
-    for each node, its expression after construction and after every
-    substitution (the last entry is the value used at its dominator).
+    for each node, its whole expression after construction and after
+    every substitution (the last entry is the value used at its
+    dominator).  Capturing changes neither the value nor the counters.
     """
 
     unreliability: object
@@ -94,29 +95,16 @@ def _require_plain_ft(t: FaultTree):
         raise ValidationError("solver operates on fault trees without CBEs")
 
 
-def _grouped_by_idom(t: FaultTree, dom: DominatorInfo, only_multiparent=False):
-    """For each node, the nodes it immediately dominates, closest first
-    (forward topological order: the plain algorithm substitutes in it, the
-    optimized one breaks its min-width ties by it).  The optimized
-    algorithm only substitutes multiparent nodes, so asks for just those."""
-    groups = {}
-    for w in dom.topo_order:
-        if w == t.root:
-            continue
-        if only_multiparent and len(t.parents[w]) == 1:
-            continue
-        groups.setdefault(dom.idom[w], []).append(w)
-    return groups
-
-
-def _eliminate(factors, pending, g, num, report):
+def _eliminate(factors, pending, g, num, report, observe=None):
     """Bucket elimination inside one gate (Dechter, AI 113, 1999).
 
-    Takes the gate's polynomial child factors and the multiparent nodes
-    it immediately dominates.  Each step picks the pending ``w`` whose
-    elimination touches the fewest other variables (min-width), multiplies
-    only the factors holding ``w``, smallest first, and substitutes
-    ``g[w]``: substitution commutes with a factor lacking ``w``.  Returns
+    Takes the gate's polynomial child factors and the nodes it
+    immediately dominates that stand as variables.  Each step picks the
+    pending ``w`` whose elimination touches the fewest other variables
+    (min-width), multiplies only the factors holding ``w``, smallest
+    first, and substitutes ``g[w]``: substitution commutes with a factor
+    lacking ``w``.  After every substitution ``observe``, if given, is
+    called with the constant so far and the factors left.  Returns
     ``num`` times the constant results and the factors left, smallest
     first.
     """
@@ -152,87 +140,41 @@ def _eliminate(factors, pending, g, num, report):
             bucket.append((mask, poly))
         else:
             num = num * poly.constant_value()
+        if observe:
+            observe(num, [p for _, p in bucket])
     return num, sorted((p for _, p in bucket), key=len)
 
 
-def solve_sfpa(t: FaultTree, dom: DominatorInfo | None = None,
-               capture: bool = False) -> SolveReport:
-    """Plain polynomial algorithm: a formal variable per gate child."""
-    _require_plain_ft(t)
-    start = time.perf_counter()
-    if dom is None:
-        dom = immediate_dominators(t)
-    groups = _grouped_by_idom(t, dom)
-    report = SolveReport(unreliability=None, algorithm="sfpa",
-                         history={} if capture else None)
-    g: dict[int, Poly] = {}
+def _solve(t: FaultTree, dom: DominatorInfo | None, algorithm: str,
+           fold: bool, capture: bool = False) -> SolveReport:
+    """The loop of both algorithms (see ``solve_sfpa2``); without ``fold``
+    every gate child is a variable.  ``capture`` only observes: it records
+    each gate's whole expression after construction and each substitution.
 
-    for v in reversed(t.order):
-        kind = t.kinds[v]
-        if kind is GateKind.BE:
-            gv = Poly.constant(t.probs[v])
-        else:
-            if kind is GateKind.AND:
-                gv = Poly.constant(1)
-                for w in t.children[v]:
-                    gv = gv * Poly.variable(w)
-                    report.multiplications += 1
-            else:
-                acc = Poly.constant(1)
-                for w in t.children[v]:
-                    acc = acc * (1 - Poly.variable(w))
-                    report.multiplications += 1
-                gv = 1 - acc
-            report.record(gv)
-            if capture:
-                report.history[v] = [gv]
-            for w in groups.get(v, ()):
-                gv = gv.substitute(w, g[w])
-                report.substitutions += 1
-                report.record(gv)
-                if capture:
-                    report.history[v].append(gv)
-                else:
-                    del g[w]
-        report.record(gv)
-        if capture and kind is GateKind.BE:
-            report.history[v] = [gv]
-        g[v] = gv
-
-    report.unreliability = g[t.root].constant_value()
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
-def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
-    """Optimized polynomial algorithm.
-
-    Single-parent children are folded into the gate expression without
-    ever becoming formal variables, so variables exist only for
-    multiparent nodes; a gate that immediately dominates some substitutes
-    each inside itself as soon as the last factor holding it is in, in
-    min-width order (``_eliminate``).  On a tree-shaped input this
-    degenerates to the classical numeric bottom-up pass.
-
-    The body is written with flat lists and hoisted locals; on large
-    DAGs the solve is memory-bound and dict/attribute traffic would
-    otherwise dominate the polynomial work.
+    Flat lists and hoisted locals: on large DAGs the solve is memory-bound
+    and dict/attribute traffic would otherwise dominate the polynomial work.
     """
     _require_plain_ft(t)
     start = time.perf_counter()
     if dom is None:
         dom = immediate_dominators(t)
-    groups = _grouped_by_idom(t, dom, only_multiparent=True)
-    report = SolveReport(unreliability=None, algorithm="sfpa2", max_terms=1)
+    report = SolveReport(unreliability=None, algorithm=algorithm, max_terms=1,
+                         history={} if capture else None)
 
-    n = len(t)
     kinds, children, probs = t.kinds, t.children, t.probs
-    single = [len(p) == 1 for p in t.parents]
+    single = [len(p) == 1 for p in t.parents] if fold else [False] * len(t)
+    # each gate's variables to substitute, in forward topological order
+    groups = {}
+    for w in dom.topo_order:
+        if w != t.root and not single[w]:
+            groups.setdefault(dom.idom[w], []).append(w)
     # node value: a plain number while no variables are live, a Poly as
-    # soon as a multiparent descendant's variable appears
-    g = [None] * n
+    # soon as a variable appears
+    g = [None] * len(t)
     for v, p in probs.items():
         g[v] = p
+        if capture:
+            report.history[v] = [Poly.constant(p)]
     poly_cls = Poly
     variable = Poly.variable
     kind_be = GateKind.BE
@@ -255,9 +197,18 @@ def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
             else:
                 num = num * val
         multiplications += len(children[v])
+        observe = None
+        if capture:
+            def observe(num, factors, steps=report.history.setdefault(v, []),
+                        invert=invert):
+                poly = Poly.constant(num)
+                for p in factors:
+                    poly = poly * p
+                steps.append(1 - poly if invert else poly)
+            observe(num, polys)
         pending = groups.get(v)
         if pending and polys:
-            num, polys = _eliminate(polys, pending, g, num, report)
+            num, polys = _eliminate(polys, pending, g, num, report, observe)
         if not polys:
             g[v] = 1 - num if invert else num
             continue
@@ -278,6 +229,25 @@ def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
     )
     report.wall_time = time.perf_counter() - start
     return report
+
+
+def solve_sfpa(t: FaultTree, dom: DominatorInfo | None = None,
+               capture: bool = False) -> SolveReport:
+    """Plain polynomial algorithm: a formal variable per gate child."""
+    return _solve(t, dom, "sfpa", fold=False, capture=capture)
+
+
+def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
+    """Optimized polynomial algorithm.
+
+    Single-parent children are folded into the gate expression without
+    ever becoming formal variables, so variables exist only for
+    multiparent nodes; a gate that immediately dominates some substitutes
+    each inside itself as soon as the last factor holding it is in, in
+    min-width order (``_eliminate``).  On a tree-shaped input this
+    degenerates to the classical numeric bottom-up pass.
+    """
+    return _solve(t, dom, "sfpa2", fold=True)
 
 
 def solve_treelike(t: FaultTree):

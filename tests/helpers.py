@@ -3,8 +3,8 @@
 The oracles here (exhaustive path enumeration for dominators, the
 coefficientwise substitution formula, truth-table equivalence of trees,
 the variable budget by graph walks, the cut-set reduction over
-``Fraction``s) are deliberately naive and separate from the library code
-they check.
+``Fraction``s, a BDD for exact values past the exhaustive oracle's reach)
+are deliberately naive and separate from the library code they check.
 """
 
 from __future__ import annotations
@@ -209,6 +209,76 @@ def solve_sfpa2_by_idom_order(t: FaultTree):
             gv = gv.constant_value()
         g[v] = gv
     return g[t.root]
+
+
+class Bdd:
+    """Reduced ordered BDD (Bryant, IEEE TC 1986): node ids are integers,
+    0 and 1 the terminals, every other node a (level, low, high) triple
+    kept unique; ``apply`` memoises AND and OR on pairs of ids."""
+
+    def __init__(self, levels):
+        self.nodes = [(levels, None, None), (levels, None, None)]
+        self.unique = {}
+        self.cache = {}
+
+    def mk(self, level, lo, hi):
+        if lo == hi:
+            return lo
+        key = (level, lo, hi)
+        if key not in self.unique:
+            self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return self.unique[key]
+
+    def apply(self, is_and, a, b):
+        absorbing, neutral = (0, 1) if is_and else (1, 0)
+        if absorbing in (a, b):
+            return absorbing
+        if a == neutral or a == b:
+            return b
+        if b == neutral:
+            return a
+        key = (is_and, min(a, b), max(a, b))
+        if key not in self.cache:
+            (la, a0, a1), (lb, b0, b1) = self.nodes[a], self.nodes[b]
+            level = min(la, lb)
+            if la != level:
+                a0 = a1 = a
+            if lb != level:
+                b0 = b1 = b
+            self.cache[key] = self.mk(level, self.apply(is_and, a0, b0),
+                                      self.apply(is_and, a1, b1))
+        return self.cache[key]
+
+
+def bdd_unreliability(t: FaultTree):
+    """Unreliability through a reduced ordered BDD, basic events ordered
+    by first visit in a depth-first walk from the root.  Apply recurses
+    at most one level per basic event."""
+    level, seen, stack = {}, set(), [t.root]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            if t.kinds[v] is GateKind.BE:
+                level[v] = len(level)
+            stack.extend(reversed(t.children[v]))
+    bdd = Bdd(len(level))
+    node = {}
+    for v in reversed(t.order):
+        if t.kinds[v] is GateKind.BE:
+            node[v] = bdd.mk(level[v], 0, 1)
+            continue
+        is_and = t.kinds[v] is GateKind.AND
+        acc = 1 if is_and else 0
+        for w in t.children[v]:
+            acc = bdd.apply(is_and, acc, node[w])
+        node[v] = acc
+    prob = {lv: t.probs[v] for v, lv in level.items()}
+    value = [0, 1]
+    for lv, lo, hi in bdd.nodes[2:]:  # children before parents
+        value.append((1 - prob[lv]) * value[lo] + prob[lv] * value[hi])
+    return value[node[t.root]]
 
 
 def relabelled(t: FaultTree, rng) -> FaultTree:

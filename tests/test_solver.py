@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from sfpa import (
     CapExceededError,
     FaultTree,
+    GateKind,
     GenConfig,
     NotATreeError,
+    Poly,
     cut_sets,
     generate,
     immediate_dominators,
@@ -22,6 +24,7 @@ from sfpa import (
     variable_budget,
 )
 from helpers import (
+    bdd_unreliability,
     fig1,
     fig2,
     make_rng,
@@ -89,6 +92,27 @@ class TestInstrumentation:
         report = solve_sfpa(t, capture=True)
         assert set(report.history) == set(range(len(t)))
 
+    def test_capture_only_observes(self):
+        rng = make_rng(36)
+        for _ in range(200):
+            t = random_tree(rng, exact=True)
+            plain, seen = solve_sfpa(t), solve_sfpa(t, capture=True)
+            assert seen.unreliability == plain.unreliability
+            for counter in ("max_terms", "max_live_vars", "substitutions",
+                            "multiplications"):
+                assert getattr(seen, counter) == getattr(plain, counter)
+            history = seen.history
+            assert sum(len(h) - 1 for h in history.values()) == seen.substitutions
+            for v, kids in enumerate(t.children):
+                if not kids:
+                    continue
+                invert = t.kinds[v] is GateKind.OR
+                built = Poly.constant(1)
+                for w in kids:
+                    built = built * (1 - Poly.variable(w) if invert
+                                     else Poly.variable(w))
+                assert history[v][0] == (1 - built if invert else built)
+
     def test_final_poly_requires_capture(self):
         with pytest.raises(ValueError):
             solve_sfpa(fig2()).final_poly(0)
@@ -117,8 +141,18 @@ class TestAgreement:
                             exact=True)
             u0 = oracle_unreliability(t)
             assert isinstance(u0, Fraction)
+            assert bdd_unreliability(t) == u0
             assert solve_sfpa(t).unreliability == u0
             assert solve_sfpa2(t).unreliability == u0
+
+    @pytest.mark.parametrize("m,seed", [(22, 2), (21, 6), (20, 7)])
+    def test_exact_agreement_with_a_bdd_past_the_oracle(self, m, seed):
+        # shared_dense trees: 120 basic events, six times the oracle's cap
+        t = generate(GenConfig(seed=seed, n_be=120, n_gates=80,
+                               n_multiparent=m)).with_exact_probs()
+        u = bdd_unreliability(t)
+        assert solve_sfpa(t).unreliability == u
+        assert solve_sfpa2(t).unreliability == u
 
     def test_max_live_vars_bounded_by_budget(self):
         rng = make_rng(33)

@@ -1,0 +1,74 @@
+"""Digest of both polynomial solvers over a fixed corpus of generated trees.
+
+Run from the repository root as::
+
+    PYTHONPATH=src python tools/solver_digest.py [--save FILE] [--compare FILE]
+
+The corpus is the 900 trees ``GenConfig(seed=0..299, n_be=12, n_gates=9,
+n_multiparent=m)`` for m in 0, 3 and 10.  For each algorithm the script
+prints one SHA-256 (first 16 hex digits) over the exact values, one over
+the float values and one over the four counters of the float solves, then
+the counter sums.  Two checkouts that print the same line compute the same
+thing on the corpus.
+
+``--save FILE`` writes the float values as JSON; ``--compare FILE`` reads
+such a file and prints, per algorithm, how many float values differ from
+it and by how much at most.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+
+from sfpa import GenConfig, generate, solve_sfpa, solve_sfpa2
+
+COUNTERS = ("max_terms", "max_live_vars", "substitutions", "multiplications")
+ALGORITHMS = {"sfpa": solve_sfpa, "sfpa2": solve_sfpa2}
+
+
+def corpus():
+    for m in (0, 3, 10):
+        for seed in range(300):
+            yield generate(GenConfig(seed=seed, n_be=12, n_gates=9,
+                                     n_multiparent=m))
+
+
+def digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", help="write the float values to this JSON file")
+    parser.add_argument("--compare", help="compare the float values with this JSON file")
+    args = parser.parse_args(argv)
+
+    trees = list(corpus())
+    floats = {}
+    for name, solve in ALGORITHMS.items():
+        exact = [solve(t.with_exact_probs()).unreliability for t in trees]
+        reports = [solve(t) for t in trees]
+        floats[name] = [r.unreliability for r in reports]
+        counters = [tuple(getattr(r, c) for c in COUNTERS) for r in reports]
+        print("%-6s exact %s  float %s  counters %s" % (
+            name, digest(exact), digest(floats[name]), digest(counters)))
+        print("%-6s sums  %s" % (name, "  ".join(
+            "%s=%d" % (c, sum(row[i] for row in counters))
+            for i, c in enumerate(COUNTERS))))
+
+    if args.save:
+        with open(args.save, "w") as out:
+            json.dump(floats, out)
+    if args.compare:
+        with open(args.compare) as src:
+            baseline = json.load(src)
+        for name, values in floats.items():
+            diffs = [abs(a - b) for a, b in zip(values, baseline[name])]
+            print("%-6s float differs on %d of %d trees, by at most %.3g" % (
+                name, sum(d > 0 for d in diffs), len(diffs), max(diffs)))
+
+
+if __name__ == "__main__":
+    main()
