@@ -1,12 +1,7 @@
 """Fault-tree unreliability analysis via squarefree polynomial algebras."""
 
 from .algebra import Poly, interpolate, tabulate
-from .dominators import (
-    DominatorInfo,
-    check_idom_ordering,
-    immediate_dominators,
-    topo_sort,
-)
+from .dominators import check_idom_ordering, immediate_dominators, topo_sort
 from .errors import (
     AlgebraError,
     CapExceededError,
@@ -30,7 +25,6 @@ from .solver import (
 from .tree import (
     FaultTree,
     GateKind,
-    compose,
     cut_sets,
     oracle_unreliability,
     pcft_unreliability,
@@ -40,7 +34,6 @@ from .tree import (
 __all__ = [
     "AlgebraError",
     "CapExceededError",
-    "DominatorInfo",
     "FaultTree",
     "GateKind",
     "GenConfig",
@@ -53,7 +46,6 @@ __all__ = [
     "SolveReport",
     "ValidationError",
     "check_idom_ordering",
-    "compose",
     "cut_sets",
     "generate",
     "generate_corpus",

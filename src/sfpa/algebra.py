@@ -68,9 +68,6 @@ class Poly:
             mask |= term
         return mask
 
-    def variables(self) -> set[int]:
-        return set(_bits(self.variable_mask()))
-
     def is_constant(self) -> bool:
         return self.variable_mask() == 0
 
@@ -267,18 +264,16 @@ def interpolate(values, variables) -> Poly:
     """
     n = len(variables)
     size = 1 << n
-    if isinstance(values, dict):
-        if len(values) != size:
-            raise AlgebraError(
-                "truth table has %d entries, expected %d" % (len(values), size)
-            )
+    if len(values) != size:
+        raise AlgebraError(
+            "truth table has %d entries, expected %d" % (len(values), size)
+        )
+    try:
         table = [values[mask] for mask in range(size)]
-    else:
-        table = list(values)
-        if len(table) != size:
-            raise AlgebraError(
-                "truth table has %d entries, expected %d" % (len(table), size)
-            )
+    except KeyError as exc:
+        raise AlgebraError(
+            "truth table has no entry for mask %r" % exc.args[0]
+        ) from None
     for j in range(n):
         bit = 1 << j
         for mask in range(size):

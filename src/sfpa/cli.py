@@ -70,15 +70,15 @@ def _timed(algorithm, solve, t, max_terms):
                        wall_time=time.perf_counter() - start)
 
 
-#: algorithm name -> function (tree, dominators or None) -> SolveReport.
+#: algorithm name -> function (tree, idom map or None) -> SolveReport.
 #: The lambdas look the solvers up in this module at call time, so a
 #: solver replaced here (for instance by a tracing wrapper) is the one run.
 #: The oracle keeps no terms: its ``max_terms`` is None, an empty CSV cell.
 _ALGORITHMS = {
-    "sfpa": lambda t, dom: solve_sfpa(t, dom),
-    "sfpa2": lambda t, dom: solve_sfpa2(t, dom),
-    "treelike": lambda t, dom: _timed("treelike", solve_treelike, t, 1),
-    "oracle": lambda t, dom: _timed("oracle", oracle_unreliability, t, None),
+    "sfpa": lambda t, idom: solve_sfpa(t, idom),
+    "sfpa2": lambda t, idom: solve_sfpa2(t, idom),
+    "treelike": lambda t, idom: _timed("treelike", solve_treelike, t, 1),
+    "oracle": lambda t, idom: _timed("oracle", oracle_unreliability, t, None),
 }
 
 
@@ -167,11 +167,11 @@ def cmd_bench(args):
         record_base = {"file": row["file"], "nodes": "", "multiparent": "", "c": ""}
         try:
             t = _load(path)
-            dom = immediate_dominators(t)
+            idom = immediate_dominators(t)
             record_base.update(
                 nodes=len(t),
                 multiparent=len(t.multiparent_nodes()),
-                c=variable_budget(t, dom),
+                c=variable_budget(t, idom),
             )
         except (OSError, SfpaError) as exc:
             for algo in algos:
@@ -187,7 +187,7 @@ def cmd_bench(args):
                 if algo not in _ALGORITHMS:
                     raise SfpaError("unknown algorithm %r" % algo)
                 for _ in range(args.repeats):
-                    rep = _ALGORITHMS[algo](t, dom)
+                    rep = _ALGORITHMS[algo](t, idom)
                     value, max_terms = rep.unreliability, rep.max_terms
                     times.append(rep.wall_time)
             except SfpaError as exc:
@@ -226,10 +226,9 @@ def cmd_mcs(args):
 
 def cmd_dom(args):
     t = _load(args.file)
-    info = immediate_dominators(t)
-    for v in info.topo_order:
-        if v != t.root:
-            print("%s -> %s" % (t.names[v], t.names[info.idom[v]]))
+    idom = immediate_dominators(t)
+    for v in t.order[1:]:
+        print("%s -> %s" % (t.names[v], t.names[idom[v]]))
     return 0
 
 
@@ -289,12 +288,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _PRECONDITION_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (SfpaError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _PRECONDITION_ERRORS) else 1
     except AssertionError as exc:  # pragma: no cover
         print("internal error: %s" % exc, file=sys.stderr)
         return 3

@@ -1,39 +1,21 @@
-"""Topological order and immediate dominators of a fault-tree DAG.
+"""Immediate dominators of a fault-tree DAG.
 
-Orientation: edges run from the root towards the leaves, and we order
-nodes by the ancestor relation (a node is "below" another if the latter
-can reach it).  A dominator of v is a node lying on every path from the
-root to v; the immediate dominator is the closest one.
+Edges run from the root towards the leaves.  A dominator of a node v is
+a node on every path from the root to v; the immediate dominator is the
+closest one.  The solvers substitute the variable of a shared node inside
+its immediate dominator, so the map ``immediate_dominators`` returns,
+from every non-root node to its immediate dominator, is all they need.
 
 The computation is the iterative-intersection scheme of Cooper, Harvey
 and Kennedy ("A Simple, Fast Dominance Algorithm", 2001) over the
-topological order that ``FaultTree`` validation stores.  On a DAG every
-parent comes before its children in that order, so a single sweep
-reaches the fixpoint.
+root-first topological order ``t.order`` that ``FaultTree`` validation
+stores.  On a DAG every parent comes before its children in that order,
+so a single sweep reaches the fixpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tree import FaultTree
-
-
-@dataclass(frozen=True)
-class DominatorInfo:
-    """Immediate dominators plus the topological order they were built on.
-
-    ``idom`` maps every non-root node to its immediate dominator;
-    ``topo_order`` lists the nodes root-first with every parent before
-    its children; ``topo_index`` is the inverse permutation.
-    """
-
-    idom: dict[int, int]
-    topo_order: tuple[int, ...]
-
-    @property
-    def topo_index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.topo_order)}
 
 
 def topo_sort(t: FaultTree) -> list[int]:
@@ -41,8 +23,8 @@ def topo_sort(t: FaultTree) -> list[int]:
     return list(t.order)
 
 
-def immediate_dominators(t: FaultTree) -> DominatorInfo:
-    """Immediate dominator of every non-root node."""
+def immediate_dominators(t: FaultTree) -> dict[int, int]:
+    """Map every non-root node to its immediate dominator."""
     order, parents = t.order, t.parents
     index = [0] * len(order)
     for i, v in enumerate(order):
@@ -60,10 +42,10 @@ def immediate_dominators(t: FaultTree) -> DominatorInfo:
                 while index[new] > index[p]:
                     new = idom[new]
         idom[v] = new
-    return DominatorInfo(idom=idom, topo_order=order)
+    return idom
 
 
-def check_idom_ordering(info: DominatorInfo, t: FaultTree) -> bool:
+def check_idom_ordering(idom: dict[int, int], t: FaultTree) -> bool:
     """Verify the dominator ordering property on all comparable pairs.
 
     For every pair with v strictly below w, either idom(v) lies at or
@@ -72,7 +54,7 @@ def check_idom_ordering(info: DominatorInfo, t: FaultTree) -> bool:
     """
     n = len(t)
     reach = [0] * n  # bitmask of descendants-or-self
-    for v in reversed(info.topo_order):
+    for v in reversed(t.order):
         mask = 1 << v
         for w in t.children[v]:
             mask |= reach[w]
@@ -86,10 +68,10 @@ def check_idom_ordering(info: DominatorInfo, t: FaultTree) -> bool:
             if v == w or not below_eq(v, w):
                 continue
             # v is strictly below w
-            iv = info.idom[v]
+            iv = idom[v]
             ok = below_eq(iv, w)
             if not ok and w != t.root:
-                ok = below_eq(info.idom[w], iv)
+                ok = below_eq(idom[w], iv)
             if not ok:
                 return False
     return True

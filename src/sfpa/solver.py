@@ -30,7 +30,7 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZ
                      Inexact, InvalidOperation, Overflow, Rounded, localcontext)
 
 from .algebra import Poly
-from .dominators import DominatorInfo, immediate_dominators
+from .dominators import immediate_dominators
 from .errors import CapExceededError, NoCutSetError, NotATreeError, ValidationError
 from .tree import FaultTree, GateKind
 
@@ -82,12 +82,6 @@ class SolveReport:
 
     def clamped(self):
         return min(max(self.unreliability, 0), 1)
-
-    def final_poly(self, v: int) -> Poly:
-        """The captured expression a node contributes to its dominator."""
-        if self.history is None:
-            raise ValueError("solve was run without capture=True")
-        return self.history[v][-1]
 
 
 def _require_plain_ft(t: FaultTree):
@@ -145,7 +139,7 @@ def _eliminate(factors, pending, g, num, report, observe=None):
     return num, sorted((p for _, p in bucket), key=len)
 
 
-def _solve(t: FaultTree, dom: DominatorInfo | None, algorithm: str,
+def _solve(t: FaultTree, idom: dict[int, int] | None, algorithm: str,
            fold: bool, capture: bool = False) -> SolveReport:
     """The loop of both algorithms (see ``solve_sfpa2``); without ``fold``
     every gate child is a variable.  ``capture`` only observes: it records
@@ -156,18 +150,20 @@ def _solve(t: FaultTree, dom: DominatorInfo | None, algorithm: str,
     """
     _require_plain_ft(t)
     start = time.perf_counter()
-    if dom is None:
-        dom = immediate_dominators(t)
+    if idom is None:
+        idom = immediate_dominators(t)
     report = SolveReport(unreliability=None, algorithm=algorithm, max_terms=1,
                          history={} if capture else None)
 
     kinds, children, probs = t.kinds, t.children, t.probs
     single = [len(p) == 1 for p in t.parents] if fold else [False] * len(t)
-    # each gate's variables to substitute, in forward topological order
+    # each gate's variables to substitute, in forward topological order;
+    # the root is skipped by a test, since a slice of t.order would copy it
     groups = {}
-    for w in dom.topo_order:
-        if w != t.root and not single[w]:
-            groups.setdefault(dom.idom[w], []).append(w)
+    root = t.root
+    for w in t.order:
+        if w != root and not single[w]:
+            groups.setdefault(idom[w], []).append(w)
     # node value: a plain number while no variables are live, a Poly as
     # soon as a variable appears
     g = [None] * len(t)
@@ -231,13 +227,13 @@ def _solve(t: FaultTree, dom: DominatorInfo | None, algorithm: str,
     return report
 
 
-def solve_sfpa(t: FaultTree, dom: DominatorInfo | None = None,
+def solve_sfpa(t: FaultTree, idom: dict[int, int] | None = None,
                capture: bool = False) -> SolveReport:
     """Plain polynomial algorithm: a formal variable per gate child."""
-    return _solve(t, dom, "sfpa", fold=False, capture=capture)
+    return _solve(t, idom, "sfpa", fold=False, capture=capture)
 
 
-def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
+def solve_sfpa2(t: FaultTree, idom: dict[int, int] | None = None) -> SolveReport:
     """Optimized polynomial algorithm.
 
     Single-parent children are folded into the gate expression without
@@ -247,7 +243,7 @@ def solve_sfpa2(t: FaultTree, dom: DominatorInfo | None = None) -> SolveReport:
     min-width order (``_eliminate``).  On a tree-shaped input this
     degenerates to the classical numeric bottom-up pass.
     """
-    return _solve(t, dom, "sfpa2", fold=True)
+    return _solve(t, idom, "sfpa2", fold=True)
 
 
 def solve_treelike(t: FaultTree):
@@ -273,7 +269,7 @@ def solve_treelike(t: FaultTree):
     return value[t.root]
 
 
-def variable_budget(t: FaultTree, dom: DominatorInfo | None = None) -> int:
+def variable_budget(t: FaultTree, idom: dict[int, int] | None = None) -> int:
     """Maximum number of simultaneously live formal variables.
 
     A multiparent node w is live at v when v is a strict ancestor of w
@@ -285,12 +281,12 @@ def variable_budget(t: FaultTree, dom: DominatorInfo | None = None) -> int:
     set at v is the union over children c of the set live above c, plus
     c if multiparent; above v, the nodes v immediately dominates leave.
     """
-    if dom is None:
-        dom = immediate_dominators(t)
+    if idom is None:
+        idom = immediate_dominators(t)
     bit = {w: 1 << j for j, w in enumerate(t.multiparent_nodes())}
     dominated = [0] * len(t)
     for w, b in bit.items():
-        dominated[dom.idom[w]] |= b
+        dominated[idom[w]] |= b
     children = t.children
     live_out = [0] * len(t)
     budget = 0

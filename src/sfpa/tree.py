@@ -258,9 +258,6 @@ class FaultTree:
         """Ids of nodes with two or more parents, ascending."""
         return [v for v in range(len(self.names)) if len(self.parents[v]) >= 2]
 
-    def is_treelike(self):
-        return not self.multiparent_nodes()
-
     def with_exact_probs(self):
         """Copy with every probability converted to an exact Fraction."""
         probs = {v: Fraction(p) for v, p in self.probs.items()}
@@ -270,15 +267,7 @@ class FaultTree:
 
     def subtree(self, v):
         """The sub-tree of all descendants of ``v``, rooted at ``v``."""
-        keep = sorted(self._reachable_from(v))
-        remap = {old: new for new, old in enumerate(keep)}
-        return FaultTree(
-            [self.names[u] for u in keep],
-            [self.kinds[u] for u in keep],
-            [[remap[w] for w in self.children[u]] for u in keep],
-            {remap[u]: p for u, p in self.probs.items() if u in remap},
-            remap[v],
-        )
+        return self._rebuild(v, ())
 
     def restrict(self, cut):
         """Turn each node in ``cut`` into a CBE and drop what becomes unreachable.
@@ -286,30 +275,26 @@ class FaultTree:
         Nodes in ``cut`` lose their outgoing edges (and probability); the
         result is the portion still reachable from the root.
         """
+        return self._rebuild(self.root, cut)
+
+    def _rebuild(self, top, cut):
+        """The part reachable from ``top`` once every node in ``cut`` is a
+        childless CBE, rooted at ``top``; kept ids are renumbered densely
+        in their old order."""
         cut = set(cut)
-        for v in cut:
+        for v in (top, *cut):
             if not (0 <= v < len(self.names)):
                 raise ValidationError("node id %d out of range" % v)
-        kinds = [
-            GateKind.CBE if v in cut else self.kinds[v]
-            for v in range(len(self.names))
-        ]
-        children = [
-            [] if v in cut else list(self.children[v])
-            for v in range(len(self.names))
-        ]
-        keep = sorted(_reachable(children, self.root))
+        children = [() if v in cut else kids for v, kids in enumerate(self.children)]
+        keep = sorted(_reachable(children, top))
         remap = {old: new for new, old in enumerate(keep)}
         return FaultTree(
             [self.names[u] for u in keep],
-            [kinds[u] for u in keep],
+            [GateKind.CBE if u in cut else self.kinds[u] for u in keep],
             [[remap[w] for w in children[u]] for u in keep],
-            {
-                remap[u]: p
-                for u, p in self.probs.items()
-                if u in remap and kinds[u] is GateKind.BE
-            },
-            remap[self.root],
+            {remap[u]: p for u, p in self.probs.items()
+             if u in remap and u not in cut},
+            remap[top],
         )
 
 
@@ -326,90 +311,24 @@ def _reachable(children, v):
     return seen
 
 
-def compose(t: FaultTree, v: int, t2: FaultTree) -> FaultTree:
-    """Graft ``t2`` in place of the CBE ``v`` of ``t``.
-
-    Nodes are matched up by name: the trees may share CBEs and gates
-    (which must then have identical kind and child sets), but not BEs,
-    and the name of ``v`` must not occur in ``t2``.  Every former parent
-    of ``v`` points at the root of ``t2`` in the result.
-    """
-    if t.kinds[v] is not GateKind.CBE:
-        raise ValidationError("node %r is not a CBE" % t.names[v])
-    v_name = t.names[v]
-    if v_name in t2.name_to_id:
-        raise ValidationError("CBE %r also occurs in the grafted tree" % v_name)
-    shared = set(t.name_to_id) & set(t2.name_to_id)
-    for name in shared:
-        a = t.name_to_id[name]
-        b = t2.name_to_id[name]
-        if t.kinds[a] is not t2.kinds[b]:
-            raise ValidationError("shared node %r has conflicting kinds" % name)
-        if t.kinds[a] is GateKind.BE:
-            raise ValidationError("basic event %r occurs in both trees" % name)
-        kids_a = sorted(t.names[w] for w in t.children[a])
-        kids_b = sorted(t2.names[w] for w in t2.children[b])
-        if kids_a != kids_b:
-            raise ValidationError(
-                "shared node %r has different children in the two trees" % name
-            )
-
-    root2_name = t2.names[t2.root]
-    names = []
-    kinds = []
-    kid_names = []
-    probs_by_name = {}
-    for u in range(len(t.names)):
-        if u == v:
-            continue
-        names.append(t.names[u])
-        kinds.append(t.kinds[u])
-        kid_names.append(
-            [root2_name if w == v else t.names[w] for w in t.children[u]]
-        )
-        if u in t.probs:
-            probs_by_name[t.names[u]] = t.probs[u]
-    for u in range(len(t2.names)):
-        if t2.names[u] in shared:
-            continue
-        names.append(t2.names[u])
-        kinds.append(t2.kinds[u])
-        kid_names.append([t2.names[w] for w in t2.children[u]])
-        if u in t2.probs:
-            probs_by_name[t2.names[u]] = t2.probs[u]
-    index = {name: i for i, name in enumerate(names)}
-    children = [[index[k] for k in kids] for kids in kid_names]
-    probs = {index[name]: p for name, p in probs_by_name.items()}
-    root_name = t.names[t.root] if v != t.root else root2_name
-    return FaultTree(names, kinds, children, probs, index[root_name])
-
-
 # -- structure function and exhaustive analysis -------------------------
 
 
-def _as_failed_set(t: FaultTree, f):
-    """Normalize a safety event to a frozenset of failed BE ids."""
-    bes = set(t.basic_events())
-    if isinstance(f, (set, frozenset)):
-        extra = set(f) - bes
+def _as_on_set(x, ids, what, kind):
+    """Normalize a safety event (``what`` "event", ``kind`` "BE") or a
+    control ("control", "CBE"): a set of the ``ids`` that are on, or a
+    mapping from exactly those ids to 0/1, to a frozenset of the ids on."""
+    ids = set(ids)
+    if isinstance(x, (set, frozenset)):
+        extra = set(x) - ids
         if extra:
-            raise ValidationError("event mentions non-BE ids %s" % sorted(extra))
-        return frozenset(f)
-    if set(f) != bes:
-        raise ValidationError("event must be defined on exactly the BE set")
-    return frozenset(v for v in f if f[v])
-
-
-def _as_control(t: FaultTree, c):
-    cbes = set(t.controllable_events())
-    if isinstance(c, (set, frozenset)):
-        extra = set(c) - cbes
-        if extra:
-            raise ValidationError("control mentions non-CBE ids %s" % sorted(extra))
-        return frozenset(c)
-    if set(c) != cbes:
-        raise ValidationError("control must be defined on exactly the CBE set")
-    return frozenset(v for v in c if c[v])
+            raise ValidationError(
+                "%s mentions non-%s ids %s" % (what, kind, sorted(extra)))
+        return frozenset(x)
+    if set(x) != ids:
+        raise ValidationError(
+            "%s must be defined on exactly the %s set" % (what, kind))
+    return frozenset(v for v in x if x[v])
 
 
 def structure_function(t: FaultTree, v: int, f, c=None) -> bool:
@@ -418,8 +337,9 @@ def structure_function(t: FaultTree, v: int, f, c=None) -> bool:
     ``f`` is a safety event (set of failed BE ids, or a full mapping);
     ``c`` likewise fixes the CBE states when the tree has CBEs.
     """
-    failed = _as_failed_set(t, f)
-    on = _as_control(t, c if c is not None else frozenset())
+    failed = _as_on_set(f, t.basic_events(), "event", "BE")
+    on = _as_on_set(frozenset() if c is None else c, t.controllable_events(),
+                    "control", "CBE")
     value = {}
     for u in reversed(t.order):
         kind = t.kinds[u]
@@ -534,4 +454,5 @@ def oracle_unreliability(t: FaultTree, cap=DEFAULT_ENUM_CAP):
 
 def pcft_unreliability(t: FaultTree, c, cap=DEFAULT_ENUM_CAP):
     """Failure probability of a PCFT with its CBE states fixed to ``c``."""
-    return _failure_probability(t, _as_control(t, c), cap)
+    on = _as_on_set(c, t.controllable_events(), "control", "CBE")
+    return _failure_probability(t, on, cap)

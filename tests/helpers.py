@@ -128,12 +128,12 @@ def substitute_by_definition(a: Poly, x: int, b: Poly) -> Poly:
     return Poly(out)
 
 
-def variable_budget_by_walks(t: FaultTree, dom=None) -> int:
+def variable_budget_by_walks(t: FaultTree, idom=None) -> int:
     """Live-variable budget by definition: for each multiparent node w,
     walk up to its ancestors and down from its immediate dominator, and
     count w at every node in both sets."""
-    if dom is None:
-        dom = immediate_dominators(t)
+    if idom is None:
+        idom = immediate_dominators(t)
     live = [0] * len(t)
     for w in t.multiparent_nodes():
         ancestors = set()
@@ -144,7 +144,7 @@ def variable_budget_by_walks(t: FaultTree, dom=None) -> int:
                 if p not in ancestors:
                     ancestors.add(p)
                     stack.append(p)
-        idw = dom.idom[w]
+        idw = idom[w]
         below_idw = {idw}
         stack = [idw]
         while stack:
@@ -185,11 +185,11 @@ def solve_sfpa2_by_idom_order(t: FaultTree):
     gate multiplies all its child factors in child order, then substitutes
     the multiparent nodes it immediately dominates in forward topological
     order.  Returns the unreliability."""
-    dom = immediate_dominators(t)
+    idom = immediate_dominators(t)
     pending = {}
     for w in t.order:
         if len(t.parents[w]) > 1:
-            pending.setdefault(dom.idom[w], []).append(w)
+            pending.setdefault(idom[w], []).append(w)
     g = dict(t.probs)
     for v in reversed(t.order):
         if t.kinds[v] is GateKind.BE:
@@ -335,8 +335,7 @@ def brute_force_idom(t: FaultTree, v):
 
 
 def idoms_by_name(t: FaultTree):
-    info = immediate_dominators(t)
-    return {t.names[v]: t.names[u] for v, u in info.idom.items()}
+    return {t.names[v]: t.names[u] for v, u in immediate_dominators(t).items()}
 
 
 def trees_equivalent(ta: FaultTree, tb: FaultTree) -> bool:

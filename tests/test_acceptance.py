@@ -161,13 +161,13 @@ def test_criterion_4_algebra_laws():
             % cases)
 
 
-def _live_below(t, dom, v, descendants):
+def _live_below(t, idom, v, descendants):
     """Multiparent nodes strictly below v whose variable survives past v."""
     out = []
     for w in t.multiparent_nodes():
         if w == v or w not in descendants[v]:
             continue
-        idw = dom.idom[w]
+        idw = idom[w]
         if idw != v and v in descendants[idw]:
             out.append(w)
     return out
@@ -179,8 +179,8 @@ def test_criterion_5_node_expressions_are_restricted_subtree_unreliabilities():
     for _ in range(50):
         t = random_tree(rng, max_be=8, max_gates=8, max_multiparent=6,
                         exact=True)
-        dom = immediate_dominators(t)
-        report = solve_sfpa(t, dom, capture=True)
+        idom = immediate_dominators(t)
+        report = solve_sfpa(t, idom, capture=True)
         descendants = {v: t._reachable_from(v) for v in range(len(t))}
         for v in range(len(t)):
             if not t.children[v]:
@@ -188,7 +188,7 @@ def test_criterion_5_node_expressions_are_restricted_subtree_unreliabilities():
             g = report.history[v][-1]
             sub = t.subtree(v)
             cut = [sub.name_to_id[t.names[w]]
-                   for w in _live_below(t, dom, v, descendants)]
+                   for w in _live_below(t, idom, v, descendants)]
             r = sub.restrict(cut)
             cbes = r.controllable_events()
             table = [
@@ -218,10 +218,10 @@ def test_criterion_6_dominators():
             n_multiparent=rng.randint(0, n_be + n_gates - 1),
         )
         t = generate(cfg)
-        info = immediate_dominators(t)
-        for v in info.idom:
-            ok &= info.idom[v] == brute_force_idom(t, v)
-        ok &= check_idom_ordering(info, t)
+        idom = immediate_dominators(t)
+        for v in idom:
+            ok &= idom[v] == brute_force_idom(t, v)
+        ok &= check_idom_ordering(idom, t)
     verdict(6, ok, "200 random DAGs match path-enumeration dominators and "
                    "the ordering property")
 
@@ -260,17 +260,17 @@ def test_criterion_7_scaling_with_fixed_variable_budget():
         for seed in range(3):
             t = _c2_instance(size, seed)
             assert len(t) == size
-            dom = immediate_dominators(t)
-            budget = variable_budget(t, dom)
+            idom = immediate_dominators(t)
+            budget = variable_budget(t, idom)
             ok &= budget == 2
-            instances[size].append((t, dom, budget))
+            instances[size].append((t, idom, budget))
     # interleave the timing rounds so slow machine phases hit all sizes
     # alike instead of skewing whichever size they land on
     times = {size: [] for size in sizes}
     for _ in range(5):
         for size in sizes:
-            for t, dom, budget in instances[size]:
-                rep = solve_sfpa2(t, dom)
+            for t, idom, budget in instances[size]:
+                rep = solve_sfpa2(t, idom)
                 ok &= rep.max_live_vars <= budget
                 times[size].append(rep.wall_time)
     medians = [statistics.median(times[size]) for size in sizes]

@@ -47,6 +47,15 @@ class TestWorkedExamples:
         assert poly == expected
         assert poly.evaluate({X: 1, Y: 0}) == 7
 
+    @pytest.mark.parametrize("table, message", [
+        ([3, 7, -2], "has 3 entries, expected 4"),
+        ({0: 3, 1: 7, 2: -2}, "has 3 entries, expected 4"),
+        ({1: 7, 2: -2, 3: 4, 4: 0}, "no entry for mask 0"),
+    ])
+    def test_interpolation_rejects_a_table_of_the_wrong_shape(self, table, message):
+        with pytest.raises(AlgebraError, match=message):
+            interpolate(table, [X, Y])
+
     def test_format(self):
         poly = Poly({0: 0.25, 1 << Y: 0.75})
         assert poly.format({Y: "b"}) == "0.25 + 0.75*b"

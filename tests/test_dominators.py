@@ -37,8 +37,7 @@ def test_tree_shaped_idom_is_parent():
         {"top": ("and", ["g1", "g2"]), "g1": ("or", ["a", "b"]), "g2": ("or", ["c"])},
         {"a": 0.1, "b": 0.2, "c": 0.3},
     )
-    info = immediate_dominators(t)
-    for v, u in info.idom.items():
+    for v, u in immediate_dominators(t).items():
         assert t.parents[v] == (u,)
 
 
@@ -63,34 +62,29 @@ def test_topo_order_properties():
             assert pos[v] < pos[w]
 
 
-def test_topo_index_matches_order():
-    info = immediate_dominators(fig2())
-    assert all(info.topo_order[i] == v for v, i in info.topo_index.items())
-
-
 def test_random_dags_match_brute_force():
     rng = make_rng(20)
     for _ in range(200):
         t = random_tree(rng, max_be=6, max_gates=6, max_multiparent=6)
-        info = immediate_dominators(t)
-        assert set(info.idom) == set(range(len(t))) - {t.root}
-        for v in info.idom:
-            assert info.idom[v] == brute_force_idom(t, v)
-        assert check_idom_ordering(info, t)
+        idom = immediate_dominators(t)
+        assert set(idom) == set(range(len(t))) - {t.root}
+        for v in idom:
+            assert idom[v] == brute_force_idom(t, v)
+        assert check_idom_ordering(idom, t)
 
 
 def test_idom_map_is_a_tree_rooted_at_root():
     rng = make_rng(21)
     for _ in range(50):
         t = random_tree(rng, max_be=8, max_gates=8, max_multiparent=6)
-        info = immediate_dominators(t)
-        for v in info.idom:
+        idom = immediate_dominators(t)
+        for v in idom:
             u = v
             seen = set()
             while u != t.root:
                 assert u not in seen
                 seen.add(u)
-                u = info.idom[u]
+                u = idom[u]
 
 
 class CountingTuple(tuple):
@@ -108,7 +102,7 @@ class CountingTuple(tuple):
 
 def test_one_sweep_reads_each_parent_list_once():
     t = generate(GenConfig(seed=5, n_be=60, n_gates=40, n_multiparent=20))
-    expected = immediate_dominators(t).idom
+    expected = immediate_dominators(t)
     t.parents = CountingTuple(t.parents)
-    assert immediate_dominators(t).idom == expected
+    assert immediate_dominators(t) == expected
     assert t.parents.reads == Counter(v for v in range(len(t)) if v != t.root)

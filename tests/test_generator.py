@@ -36,7 +36,7 @@ def test_requested_counts_are_exact():
 def test_zero_multiparent_gives_a_tree():
     for seed in range(20):
         t = generate(GenConfig(seed=seed, n_be=6, n_gates=5, n_multiparent=0))
-        assert t.is_treelike()
+        assert not t.multiparent_nodes()
 
 
 def test_single_be_config():

@@ -62,7 +62,7 @@ class TestGoldenValues:
         f = t.name_to_id["f"]
         steps = [p.format(names) for p in report.history[f]]
         assert steps == ["d*e", "0.5*e + 0.5*e*b", "0.25 + 0.75*b", "0.625"]
-        assert report.final_poly(f).constant_value() == pytest.approx(0.625)
+        assert report.history[f][-1].constant_value() == pytest.approx(0.625)
 
     def test_single_be(self):
         t = FaultTree.build("b", {}, {"b": 0.7})
@@ -113,10 +113,6 @@ class TestInstrumentation:
                                      else Poly.variable(w))
                 assert history[v][0] == (1 - built if invert else built)
 
-    def test_final_poly_requires_capture(self):
-        with pytest.raises(ValueError):
-            solve_sfpa(fig2()).final_poly(0)
-
     def test_clamped(self):
         r = solve_sfpa(fig1())
         assert 0 <= r.clamped() <= 1
@@ -127,10 +123,10 @@ class TestAgreement:
         rng = make_rng(31)
         for _ in range(60):
             t = random_tree(rng, max_be=10, max_gates=8, max_multiparent=6)
-            dom = immediate_dominators(t)
+            idom = immediate_dominators(t)
             u0 = oracle_unreliability(t)
-            u1 = solve_sfpa(t, dom).unreliability
-            u2 = solve_sfpa2(t, dom).unreliability
+            u1 = solve_sfpa(t, idom).unreliability
+            u2 = solve_sfpa2(t, idom).unreliability
             assert abs(u1 - u0) <= 1e-9
             assert abs(u2 - u0) <= 1e-9
 
@@ -155,11 +151,19 @@ class TestAgreement:
         assert solve_sfpa2(t).unreliability == u
 
     def test_max_live_vars_bounded_by_budget(self):
+        # the paper's complexity bound: float solves of random trees, then
+        # exact solves of generated trees and of three shared_dense trees
         rng = make_rng(33)
-        for _ in range(40):
-            t = random_tree(rng, max_be=8, max_gates=8, max_multiparent=6)
-            dom = immediate_dominators(t)
-            assert solve_sfpa2(t, dom).max_live_vars <= variable_budget(t, dom)
+        trees = [random_tree(rng, max_be=8, max_gates=8, max_multiparent=6)
+                 for _ in range(40)]
+        configs = [GenConfig(seed=s, n_be=60, n_gates=40, n_multiparent=m)
+                   for m in (5, 10, 20) for s in range(10)]
+        configs += [GenConfig(seed=s, n_be=120, n_gates=80, n_multiparent=m)
+                    for m, s in [(22, 2), (21, 6), (20, 7)]]
+        trees += [generate(cfg).with_exact_probs() for cfg in configs]
+        for t in trees:
+            idom = immediate_dominators(t)
+            assert solve_sfpa2(t, idom).max_live_vars <= variable_budget(t, idom)
 
 
 class TestEliminationOrder:
@@ -184,10 +188,10 @@ class TestEliminationOrder:
              "w2": ("or", ["e2", "e3"])},
             {n: half for n in ("s", "e1", "e2", "e3", "z")},
         )
-        dom = immediate_dominators(t)
+        idom = immediate_dominators(t)
         ids = t.name_to_id
-        assert dom.idom[ids["w"]] == dom.idom[ids["w2"]] == ids["top"]
-        r = solve_sfpa2(t, dom)
+        assert idom[ids["w"]] == idom[ids["w2"]] == ids["top"]
+        r = solve_sfpa2(t, idom)
         assert r.unreliability == oracle_unreliability(t)
         assert r.unreliability == solve_sfpa2_by_idom_order(t)
         assert r.substitutions == 3  # w, w2 at top; s at root
@@ -204,10 +208,10 @@ class TestEliminationOrder:
              "e1": Fraction(1, 4), "e2": Fraction(1, 5),
              "e3": Fraction(1, 6), "e4": Fraction(1, 7)},
         )
-        dom = immediate_dominators(t)
+        idom = immediate_dominators(t)
         ids = t.name_to_id
-        assert dom.idom[ids["w"]] == dom.idom[ids["u"]] == ids["top"]
-        r = solve_sfpa2(t, dom)
+        assert idom[ids["w"]] == idom[ids["u"]] == ids["top"]
+        r = solve_sfpa2(t, idom)
         assert r.unreliability == oracle_unreliability(t)
         assert r.substitutions == 1
 
@@ -253,9 +257,9 @@ class TestVariableBudget:
         rng = make_rng(35)
         for _ in range(40):
             t = random_tree(rng, max_be=8, max_gates=8, max_multiparent=6)
-            dom = immediate_dominators(t)
-            c = variable_budget(t, dom)
-            assert solve_sfpa2(t, dom).max_terms <= 2 ** c
+            idom = immediate_dominators(t)
+            c = variable_budget(t, idom)
+            assert solve_sfpa2(t, idom).max_terms <= 2 ** c
 
     def test_one_pass_matches_the_walks(self):
         rng = make_rng(37)
@@ -264,8 +268,8 @@ class TestVariableBudget:
         trees += [generate(GenConfig(seed=s, n_be=60, n_gates=40, n_multiparent=m))
                   for s in range(5) for m in (5, 20, 60)]
         for t in trees:
-            dom = immediate_dominators(t)
-            assert variable_budget(t, dom) == variable_budget_by_walks(t, dom)
+            idom = immediate_dominators(t)
+            assert variable_budget(t, idom) == variable_budget_by_walks(t, idom)
 
 
 class TestMinimalCutSet:

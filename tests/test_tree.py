@@ -12,7 +12,6 @@ from sfpa import (
     FaultTree,
     GateKind,
     ValidationError,
-    compose,
     cut_sets,
     interpolate,
     oracle_unreliability,
@@ -360,62 +359,14 @@ class TestSubtreeRestrict:
         t = self.pcft_fig3()
         assert trees_equivalent(t.restrict([]), t)
 
-
-class TestCompose:
-    def test_simple_graft(self):
-        t = FaultTree.build("top", {"top": ("and", ["a", "v"])}, {"a": 0.5}, cbes=["v"])
-        t2 = FaultTree.build("sub", {"sub": ("or", ["x", "y"])}, {"x": 0.1, "y": 0.2})
-        out = compose(t, t.name_to_id["v"], t2)
-        expected = FaultTree.build(
-            "top",
-            {"top": ("and", ["a", "sub"]), "sub": ("or", ["x", "y"])},
-            {"a": 0.5, "x": 0.1, "y": 0.2},
-        )
-        assert trees_equivalent(out, expected)
-
-    def test_single_be_graft(self):
-        t = FaultTree.build("top", {"top": ("or", ["a", "v"])}, {"a": 0.5}, cbes=["v"])
-        t2 = FaultTree.build("b", {}, {"b": 0.25})
-        out = compose(t, t.name_to_id["v"], t2)
-        expected = FaultTree.build(
-            "top", {"top": ("or", ["a", "b"])}, {"a": 0.5, "b": 0.25}
-        )
-        assert trees_equivalent(out, expected)
-
-    def test_shared_cbe_kept_once(self):
-        t = FaultTree.build(
-            "top", {"top": ("and", ["v", "w"])}, {}, cbes=["v", "w"]
-        )
-        t2 = FaultTree.build("sub", {"sub": ("or", ["x", "w"])}, {"x": 0.3}, cbes=["w"])
-        out = compose(t, t.name_to_id["v"], t2)
-        assert out.names.count("w") == 1
-        expected = FaultTree.build(
-            "top",
-            {"top": ("and", ["sub", "w"]), "sub": ("or", ["x", "w"])},
-            {"x": 0.3},
-            cbes=["w"],
-        )
-        assert trees_equivalent(out, expected)
-
-    def test_not_a_cbe_rejected(self):
-        t = FaultTree.build("top", {"top": ("or", ["a", "v"])}, {"a": 0.5}, cbes=["v"])
-        t2 = FaultTree.build("b", {}, {"b": 0.25})
-        with pytest.raises(ValidationError, match="not a CBE"):
-            compose(t, t.name_to_id["a"], t2)
-
-    def test_shared_be_rejected(self):
-        t = FaultTree.build("top", {"top": ("or", ["a", "v"])}, {"a": 0.5}, cbes=["v"])
-        t2 = FaultTree.build("sub", {"sub": ("or", ["a", "x"])}, {"a": 0.5, "x": 0.1})
-        with pytest.raises(ValidationError, match="both trees"):
-            compose(t, t.name_to_id["v"], t2)
-
-    def test_inconsistent_shared_node_rejected(self):
-        t = FaultTree.build(
-            "top", {"top": ("and", ["v", "s"]), "s": ("or", ["w", "u"])},
-            {}, cbes=["v", "w", "u"],
-        )
-        t2 = FaultTree.build(
-            "sub", {"sub": ("or", ["s"]), "s": ("or", ["w"])}, {}, cbes=["w"]
-        )
-        with pytest.raises(ValidationError, match="different children"):
-            compose(t, t.name_to_id["v"], t2)
+    @pytest.mark.parametrize("method", ["subtree", "restrict"])
+    @pytest.mark.parametrize("which", ["-1", "len"])
+    def test_id_outside_the_tree_rejected(self, method, which):
+        # the last declaration is gate "r": -1 must not index it from the end
+        t = parse_ft('toplevel "r";\n"a" prob=0.2;\n"b" prob=0.3;\n'
+                     '"d" and "a" "b";\n"r" or "d" "b";\n')
+        assert t.names[-1] == "r"
+        v = -1 if which == "-1" else len(t)
+        arg = v if method == "subtree" else [v]
+        with pytest.raises(ValidationError, match="node id %d out of range" % v):
+            getattr(t, method)(arg)

@@ -8,8 +8,10 @@ The corpus is the 900 trees ``GenConfig(seed=0..299, n_be=12, n_gates=9,
 n_multiparent=m)`` for m in 0, 3 and 10.  For each algorithm the script
 prints one SHA-256 (first 16 hex digits) over the exact values, one over
 the float values and one over the four counters of the float solves, then
-the counter sums.  Two checkouts that print the same line compute the same
-thing on the corpus.
+the counter sums.  A last line hashes the output of ``sfpa dom`` on every
+tree, written to a temporary directory, and the ``variable_budget`` of
+every tree, and gives the budgets' sum.  Two checkouts that print the same
+lines compute the same thing on the corpus.
 
 ``--save FILE`` writes the float values as JSON; ``--compare FILE`` reads
 such a file and prints, per algorithm, how many float values differ from
@@ -19,10 +21,16 @@ it and by how much at most.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
-from sfpa import GenConfig, generate, solve_sfpa, solve_sfpa2
+from sfpa import (GenConfig, generate, serialize_ft, solve_sfpa, solve_sfpa2,
+                  variable_budget)
+from sfpa.cli import main as sfpa_main
 
 COUNTERS = ("max_terms", "max_live_vars", "substitutions", "multiplications")
 ALGORITHMS = {"sfpa": solve_sfpa, "sfpa2": solve_sfpa2}
@@ -37,6 +45,19 @@ def corpus():
 
 def digest(items) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+def dom_output(trees) -> str:
+    """What ``sfpa dom`` prints for each tree, one file after another."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, t in enumerate(trees):
+            path = Path(tmp) / ("%d.dft" % i)
+            path.write_text(serialize_ft(t), encoding="utf-8")
+            with contextlib.redirect_stdout(out):
+                if sfpa_main(["dom", str(path)]) != 0:
+                    raise SystemExit("sfpa dom failed on tree %d" % i)
+    return out.getvalue()
 
 
 def main(argv=None):
@@ -57,6 +78,9 @@ def main(argv=None):
         print("%-6s sums  %s" % (name, "  ".join(
             "%s=%d" % (c, sum(row[i] for row in counters))
             for i, c in enumerate(COUNTERS))))
+    budgets = [variable_budget(t) for t in trees]
+    print("dom    output %s  budgets %s  budget sum=%d" % (
+        digest(dom_output(trees)), digest(budgets), sum(budgets)))
 
     if args.save:
         with open(args.save, "w") as out:
