@@ -7,8 +7,10 @@ represented as a *set* of variable indices; we store a polynomial as a
 sparse map from bitmask (one bit per variable index) to coefficient.
 
 Coefficients are any numeric field elements that support Python
-arithmetic: floats for the fast path, ``fractions.Fraction`` for exact
-computation.  Integers mix freely with either.  A coefficient that
+arithmetic: floats for the fast path, ``decimal.Decimal`` (under a
+context that cannot round; the solvers provide one) or
+``fractions.Fraction`` for exact computation.  Integers mix freely with
+each.  A coefficient that
 compares equal to zero is never stored, so two polynomials are equal
 iff their term maps are equal; no epsilon pruning is ever applied.
 """

@@ -21,6 +21,7 @@ import json
 import statistics
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,8 +58,8 @@ def _load(path, exact=False):
 
 
 def _json_value(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
+    if isinstance(x, (Fraction, Decimal)):
+        return "%d/%d" % x.as_integer_ratio()
     return float(format(x, ".17g"))
 
 
@@ -242,7 +243,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--algo", choices=["sfpa", "sfpa2", "treelike"], default="sfpa2")
     p.add_argument("--exact", action="store_true",
-                   help="exact rational arithmetic")
+                   help="exact arithmetic: decimals as Decimal, n/d as Fraction")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="cross-validate solvers against the oracle")

@@ -11,8 +11,11 @@ Line-oriented, UTF-8.  One declaration per line, terminated by ``;``:
 in any order.  Names may be quoted or bare; the serializer always quotes.
 A probability is a decimal literal or a ratio ``n/d`` of two integers;
 the serializer writes an exact probability as ``n/d`` when no
-terminating decimal equals it.  Read exactly, a decimal exponent past
-``_MAX_EXPONENT`` either way is a bad probability.
+terminating decimal equals it.  Read exactly, a decimal literal becomes
+a ``Decimal`` and a ratio a ``Fraction``; a file holding any ratio is
+read in Fractions throughout, since the two types do not mix.  Exact
+reading accepts the literals ``Fraction`` accepts, and a decimal
+exponent past ``_MAX_EXPONENT`` either way is a bad probability.
 ``FaultTree`` rejects every name the serializer could not write back: one
 containing ``"``, ``//`` or a line break, or the name ``toplevel``.
 The format covers plain fault trees only (no CBEs, no dynamic gates).
@@ -21,6 +24,7 @@ The format covers plain fault trees only (no CBEs, no dynamic gates).
 from __future__ import annotations
 
 import re
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import ParseError
@@ -28,9 +32,10 @@ from .tree import FaultTree, GateKind
 
 _TOKEN = re.compile(r'"([^"]*)"|(\S+)')
 _GATE_KINDS = {"and": GateKind.AND, "or": GateKind.OR}
-#: Largest decimal exponent, either sign, of a probability read as a
-#: Fraction.  ``Fraction`` builds ``10**exponent`` whatever the digits, which
-#: for an exponent near 10**15 never returns; a float needs at most 324.
+#: Largest decimal exponent, either sign, of a probability read exactly.
+#: ``Fraction`` builds ``10**exponent`` whatever the digits, which for an
+#: exponent near 10**15 never returns, and an exact ``1 - 1e-999999`` has a
+#: million digits; a float needs at most 324.
 _MAX_EXPONENT = 1000
 
 
@@ -38,8 +43,10 @@ def parse_ft(text: str, exact: bool = False) -> FaultTree:
     """Parse the text format into a validated FaultTree.
 
     Node ids follow declaration order.  With ``exact=True`` probabilities
-    are read as exact Fractions of the literal instead of floats; without
-    it, ``n/d`` becomes the float nearest to that ratio.
+    are read exactly instead of as floats: a decimal literal as a
+    ``Decimal``, a ratio ``n/d`` as a ``Fraction``, and every probability
+    as a ``Fraction`` once the file holds a ratio.  Without it, ``n/d``
+    becomes the float nearest to that ratio.
     """
     toplevel = None
     toplevel_line = None
@@ -82,14 +89,20 @@ def parse_ft(text: str, exact: bool = False) -> FaultTree:
             literal = tokens[1][len("prob="):]
             ratio = "/" in literal
             try:
-                if exact or ratio:
+                if ratio:
+                    prob = Fraction(literal)
+                elif exact:
                     exponent = literal.lower().partition("e")[2]
                     if exponent and abs(int(exponent)) > _MAX_EXPONENT:
                         raise ValueError("exponent out of range")
-                    prob = Fraction(literal)
+                    prob = Decimal(literal)
+                    # Decimal also takes inf, nan and stray underscores,
+                    # which Fraction refuses
+                    if "_" in literal or not prob.is_finite():
+                        Fraction(literal)
                 else:
                     prob = float(literal)
-            except (ValueError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError, InvalidOperation):
                 raise ParseError("bad probability %r" % literal, lineno) from None
             if not (0 <= prob <= 1):
                 raise ParseError("probability %s outside [0,1]" % literal, lineno)
@@ -110,6 +123,8 @@ def parse_ft(text: str, exact: bool = False) -> FaultTree:
         raise ParseError("no toplevel declaration")
     if toplevel not in index:
         raise ParseError("toplevel names unknown node %r" % toplevel)
+    if exact and any(p.__class__ is Fraction for p in probs.values()):
+        probs = {v: Fraction(p) for v, p in probs.items()}
     lookup = index.__getitem__
     try:
         children = [tuple(map(lookup, kids)) if kids else () for kids in kid_names]
@@ -124,26 +139,26 @@ def parse_ft(text: str, exact: bool = False) -> FaultTree:
 
 
 def _format_prob(p) -> str:
-    if isinstance(p, Fraction):
-        num, den = p.numerator, p.denominator
-        # emit a terminating decimal (an integer when den == 1) when the
-        # denominator allows it, else the ratio
-        d = den
-        twos = 0
-        while d % 2 == 0:
-            d //= 2
-            twos += 1
-        fives = 0
-        while d % 5 == 0:
-            d //= 5
-            fives += 1
-        if d == 1:
-            shift = max(twos, fives)
-            digits = num * 10**shift // den
-            s = str(digits).rjust(shift + 1, "0")
-            return s[:-shift] + "." + s[-shift:] if shift else s
-        return "%d/%d" % (num, den)
-    return repr(p)
+    if isinstance(p, float):
+        return repr(p)
+    # an exact probability (int, Decimal or Fraction): a terminating decimal
+    # (an integer when den == 1) when the denominator allows it, else n/d
+    num, den = p.as_integer_ratio()
+    d = den
+    twos = 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    fives = 0
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d == 1:
+        shift = max(twos, fives)
+        digits = num * 10**shift // den
+        s = str(digits).rjust(shift + 1, "0")
+        return s[:-shift] + "." + s[-shift:] if shift else s
+    return "%d/%d" % (num, den)
 
 
 def serialize_ft(t: FaultTree) -> str:

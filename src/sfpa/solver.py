@@ -18,34 +18,28 @@ optimized one folds single-parent children directly into the gate
 expression and gives variables to multiparent nodes only.
 
 Probabilities drive the coefficient field: build the tree with floats
-for speed or with Fractions (see FaultTree.with_exact_probs) for exact
-results.
+for speed, or for exact results with Decimals (``parse_ft(text,
+exact=True)`` on decimal literals) or Fractions (see
+FaultTree.with_exact_probs).  Every solver runs under an exact decimal
+context that traps any rounding, whatever the caller's context.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero,
-                     Inexact, InvalidOperation, Overflow, Rounded, localcontext)
+from decimal import Decimal
 
 from .algebra import Poly
 from .dominators import immediate_dominators
 from .errors import CapExceededError, NoCutSetError, NotATreeError, ValidationError
-from .tree import FaultTree, GateKind
+from .tree import FaultTree, GateKind, _exact_decimals
 
 #: Hard wall for the minimal-cut-set reduction: U(T) carries up to
 #: 2**cap digits.  At 16 basic events one reduction takes 8.5 ms in the
 #: median and 51 ms at most (20 generated trees, one Xeon core); each
 #: further event costs two to three times more.
 MCS_CAP = 16
-
-#: Exact decimals whatever the caller's context: only sums, differences
-#: and products run, so a trapped rounding would mean a bug.
-_EXACT_DECIMALS = Context(
-    prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX,
-    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
-)
 
 
 @dataclass
@@ -139,6 +133,7 @@ def _eliminate(factors, pending, g, num, report, observe=None):
     return num, sorted((p for _, p in bucket), key=len)
 
 
+@_exact_decimals
 def _solve(t: FaultTree, idom: dict[int, int] | None, algorithm: str,
            fold: bool, capture: bool = False) -> SolveReport:
     """The loop of both algorithms (see ``solve_sfpa2``); without ``fold``
@@ -246,6 +241,7 @@ def solve_sfpa2(t: FaultTree, idom: dict[int, int] | None = None) -> SolveReport
     return _solve(t, idom, "sfpa2", fold=True)
 
 
+@_exact_decimals
 def solve_treelike(t: FaultTree):
     """Classical numeric bottom-up unreliability; trees only."""
     _require_plain_ft(t)
@@ -308,8 +304,8 @@ def minimal_cut_set_via_reduction(t: FaultTree, cap: int = MCS_CAP):
     cut sets are distinct integers whose binary digits spell out the cut
     set, and the leading decimal position of U(T) identifies the
     smallest of them.  Every rigged value is an integer over a power of
-    ten, so the solve runs in exact decimals under a private context
-    that traps any rounding; kappa is minus the leading digit's exponent.
+    ten, so the solve runs in exact decimals, like every solve; kappa is
+    minus the leading digit's exponent.
 
     Returns the minimal cut set as a frozenset of failed BE ids.
     """
@@ -317,9 +313,8 @@ def minimal_cut_set_via_reduction(t: FaultTree, cap: int = MCS_CAP):
     if len(bes) > cap:
         raise CapExceededError(len(bes), cap)
     probs = {v: Decimal((0, (1,), -(2**i))) for i, v in enumerate(bes)}
-    with localcontext(_EXACT_DECIMALS):
-        rigged = FaultTree(t.names, t.kinds, t.children, probs, t.root)
-        value = solve_sfpa2(rigged).unreliability
+    rigged = FaultTree(t.names, t.kinds, t.children, probs, t.root)
+    value = solve_sfpa2(rigged).unreliability
     if value == 0:
         raise NoCutSetError("the tree has no cut sets")
     if value >= 1:

@@ -18,7 +18,10 @@ as mappings from CBE id to 0/1.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 
 from .errors import CapExceededError, ValidationError
@@ -26,6 +29,23 @@ from .errors import CapExceededError, ValidationError
 #: Default limit on the number of BEs for exhaustive enumeration
 #: (2**20 assignments is about the largest that stays under seconds).
 DEFAULT_ENUM_CAP = 20
+
+#: Exact decimals whatever the caller's context: only sums, differences
+#: and products run, so a trapped rounding would mean a bug.
+_EXACT_DECIMALS = Context(
+    prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+
+
+def _exact_decimals(fn):
+    """Run ``fn`` under ``_EXACT_DECIMALS``, so that Decimal probabilities
+    never round; the caller's context is neither used nor changed."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with localcontext(_EXACT_DECIMALS):
+            return fn(*args, **kwargs)
+    return wrapper
 
 
 def _unwritable(text):
@@ -53,7 +73,8 @@ class FaultTree:
         kinds: tuple of GateKind per node.
         children: tuple of child-id tuples per node.
         parents: tuple of parent-id tuples per node (derived).
-        probs: dict BE id -> failure probability (float or Fraction).
+        probs: dict BE id -> failure probability (float, Decimal or
+            Fraction).
         root: id of the root node.
         order: tuple of all node ids, root first and every parent before
             its children, ties broken by smallest id (computed once by
@@ -282,9 +303,7 @@ class FaultTree:
         childless CBE, rooted at ``top``; kept ids are renumbered densely
         in their old order."""
         cut = set(cut)
-        for v in (top, *cut):
-            if not (0 <= v < len(self.names)):
-                raise ValidationError("node id %d out of range" % v)
+        _check_ids(self, (top, *cut))
         children = [() if v in cut else kids for v, kids in enumerate(self.children)]
         keep = sorted(_reachable(children, top))
         remap = {old: new for new, old in enumerate(keep)}
@@ -296,6 +315,12 @@ class FaultTree:
              if u in remap and u not in cut},
             remap[top],
         )
+
+
+def _check_ids(t, ids):
+    for v in ids:
+        if not (0 <= v < len(t.names)):
+            raise ValidationError("node id %d out of range" % v)
 
 
 def _reachable(children, v):
@@ -337,6 +362,7 @@ def structure_function(t: FaultTree, v: int, f, c=None) -> bool:
     ``f`` is a safety event (set of failed BE ids, or a full mapping);
     ``c`` likewise fixes the CBE states when the tree has CBEs.
     """
+    _check_ids(t, (v,))
     failed = _as_on_set(f, t.basic_events(), "event", "BE")
     on = _as_on_set(frozenset() if c is None else c, t.controllable_events(),
                     "control", "CBE")
@@ -430,6 +456,7 @@ def cut_sets(t: FaultTree, cap=DEFAULT_ENUM_CAP):
     return result
 
 
+@_exact_decimals
 def _failure_probability(t: FaultTree, control, cap):
     """Sum the weights of the BE assignments that fail the root."""
     _check_cap(t, cap)
@@ -447,7 +474,8 @@ def oracle_unreliability(t: FaultTree, cap=DEFAULT_ENUM_CAP):
     """Top-event failure probability by explicit summation over cut sets.
 
     This is the brute-force reference that the polynomial algorithms are
-    validated against; exact when the probabilities are Fractions.
+    validated against; exact when the probabilities are Fractions or
+    Decimals.
     """
     return _failure_probability(t, frozenset(), cap)
 

@@ -60,6 +60,20 @@ HUGE_EXPONENTS = ("0.5e4573754160865701", "1e-4573754160865701",
                   "0e4573754160865701")
 
 
+def long_digits_text(shared=True):
+    """A tree whose exact unreliability has hundreds of significant digits:
+    an AND over twelve basic events with 17-digit probabilities and, with
+    ``shared``, the event ``s`` that a second gate also holds."""
+    bes = ["b%02d" % i for i in range(12)]
+    lines = ['toplevel "top";', '"top" or "big" "side";',
+             '"big" and %s;' % " ".join('"%s"' % b for b in bes + ["s"] * shared),
+             '"side" and "s" "c";', '"s" prob=0.12345678901234567;',
+             '"c" prob=0.98765432109876543;']
+    lines += ['"%s" prob=0.%d;' % (b, 31415926535897932 + 2718281828 * i)
+              for i, b in enumerate(bes)]
+    return "\n".join(lines) + "\n"
+
+
 def fig2(p=0.5):
     """Two ORs sharing a basic event, under an AND, under the root AND."""
     return FaultTree.build(

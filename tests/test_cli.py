@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import decimal
 import json
 import time
 
 import pytest
 
 from sfpa.cli import main
-from helpers import FIG1_TEXT, HUGE_EXPONENTS, fig2
-from sfpa import serialize_ft
+from helpers import FIG1_TEXT, HUGE_EXPONENTS, fig2, long_digits_text
+from sfpa import oracle_unreliability, parse_ft, serialize_ft
 
 
 @pytest.fixture
@@ -51,6 +52,26 @@ class TestSolve:
         assert code == 0
         assert report["exact"] is True
         assert report["unreliability"] == "5/16"
+
+    @pytest.mark.parametrize("prec", [None, 5])
+    @pytest.mark.parametrize("shared,algo", [(True, "sfpa2"), (True, "sfpa"),
+                                             (False, "treelike")])
+    def test_exact_mode_keeps_every_digit(self, capsys, tmp_path, prec,
+                                          shared, algo):
+        # the exact answer has hundreds of digits: a rounding anywhere
+        # between reading and the JSON would change the ratio printed
+        text = long_digits_text(shared)
+        path = tmp_path / "long.dft"
+        path.write_text(text)
+        expected = oracle_unreliability(parse_ft(text, exact=True).with_exact_probs())
+        with decimal.localcontext() as ctx:
+            if prec:
+                ctx.prec = prec
+            code, out, _ = run(capsys, "solve", "--exact", "--algo", algo, path)
+        assert code == 0
+        report = json.loads(out)
+        ratio = "%d/%d" % (expected.numerator, expected.denominator)
+        assert report["raw_unreliability"] == report["unreliability"] == ratio
 
     def test_treelike_rejects_shared_node(self, capsys, fig1_file):
         code, _, err = run(capsys, "solve", fig1_file, "--algo", "treelike")

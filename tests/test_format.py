@@ -1,9 +1,11 @@
 """Text-format parsing, error reporting and round-tripping."""
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sfpa.galileo
 from sfpa import (
@@ -125,6 +127,66 @@ def test_exact_exponent_bound():
     for exponent in (bound + 1, -bound - 1):
         with pytest.raises(ParseError, match="bad probability"):
             parse_ft('toplevel "b";\n"b" prob=0e%d;\n' % exponent, exact=True)
+
+
+def test_exact_reading_types_and_round_trip():
+    # decimal literals read as Decimals and are written back as they were
+    text = serialize_ft(fig2(Fraction(1, 8)))
+    t = parse_ft(text, exact=True)
+    assert all(type(p) is Decimal for p in t.probs.values())
+    assert serialize_ft(t) == text
+    # one ratio in the file makes every probability a Fraction
+    mixed = text.replace("prob=0.125;", "prob=1/3;", 1)
+    t = parse_ft(mixed, exact=True)
+    assert all(type(p) is Fraction for p in t.probs.values())
+    assert sorted(t.probs.values()) == [Fraction(1, 8)] * 3 + [Fraction(1, 3)]
+    assert serialize_ft(t) == mixed
+
+
+def _read_by_fraction(literal):
+    """What exact reading gives a literal by ``Fraction`` under the exponent
+    bound: its value, or None for a bad probability."""
+    exponent = literal.lower().partition("e")[2]
+    try:
+        if exponent and abs(int(exponent)) > sfpa.galileo._MAX_EXPONENT:
+            return None
+        return Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _check_exact_reading(literal):
+    # a quoted token keeps spaces inside the literal
+    text = 'toplevel "b";\n"b" "prob=%s";\n' % literal
+    value = _read_by_fraction(literal)
+    if value is None:
+        message = "bad probability %r" % literal
+    elif not 0 <= value <= 1:
+        message = "probability %s outside [0,1]" % literal
+    else:
+        assert parse_ft(text, exact=True).probs[0] == value
+        return
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_ft(text, exact=True)
+
+
+@pytest.mark.parametrize("literal", [
+    "1_0", "0.1_5", "\u0660.5", "-0", ".5", "5.", "1e-1000", "1e-1001",
+    "0e1001", "inf", "Infinity", "nan", "sNaN", "0x1", "1.5e", "abc",
+    # Decimal takes these, Fraction does not
+    "1__0", "_1", "1_", "0._5", "1e_1", "-inf", "NaN1", "sNaN2",
+    # Fraction takes these
+    "1e1_0", "+.5E-0", " 0.5 ", "0.5e+1", "1e1000", "-0.0", "1/3", "1 / 3",
+])
+def test_exact_reading_accepts_what_fraction_accepts(literal):
+    _check_exact_reading(literal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="019\u0660._eE+-/ infatyNsx", max_size=8))
+def test_exact_reading_matches_fraction_on_any_literal(literal):
+    assume("//" not in literal)  # a comment would cut the line
+    _check_exact_reading(literal)
 
 
 def test_parse_error_carries_line_number():

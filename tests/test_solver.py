@@ -18,6 +18,7 @@ from sfpa import (
     immediate_dominators,
     minimal_cut_set_via_reduction,
     oracle_unreliability,
+    parse_ft,
     solve_sfpa,
     solve_sfpa2,
     solve_treelike,
@@ -27,6 +28,7 @@ from helpers import (
     bdd_unreliability,
     fig1,
     fig2,
+    long_digits_text,
     make_rng,
     minimal_cut_set_by_fractions,
     random_tree,
@@ -221,6 +223,38 @@ class TestEliminationOrder:
             t = generate(GenConfig(seed=seed, n_be=120, n_gates=80,
                                    n_multiparent=m))
             assert solve_sfpa2(t).max_terms <= 8192
+
+
+class TestExactDecimals:
+    """Decimal literals read exactly stay Decimals, and no solver rounds
+    them, whatever the caller's decimal context."""
+
+    SOLVERS = {
+        "sfpa": lambda t: solve_sfpa(t).unreliability,
+        "sfpa2": lambda t: solve_sfpa2(t).unreliability,
+        "oracle": oracle_unreliability,
+    }
+
+    @pytest.mark.parametrize("prec", [None, 5])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_no_exact_solve_rounds(self, prec, shared):
+        t = parse_ft(long_digits_text(shared), exact=True)
+        assert all(type(p) is decimal.Decimal for p in t.probs.values())
+        expected = oracle_unreliability(t.with_exact_probs())
+        solvers = dict(self.SOLVERS)
+        if not shared:
+            solvers["treelike"] = solve_treelike
+        with decimal.localcontext() as ctx:
+            if prec:
+                ctx.prec = prec
+            kept = ctx.prec
+            for name, solve in solvers.items():
+                u = solve(t)
+                assert type(u) is decimal.Decimal, name
+                assert u == expected, name
+            assert decimal.getcontext() is ctx and ctx.prec == kept
+        # the answer needs more digits than the default context keeps
+        assert decimal.Context(prec=28).plus(u) != u
 
 
 class TestTreelike:

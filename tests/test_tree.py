@@ -216,6 +216,13 @@ class TestStructureFunction:
         with pytest.raises(ValidationError, match="exactly the BE set"):
             structure_function(t, t.root, {t.name_to_id["rrf"]: True})
 
+    @pytest.mark.parametrize("which", ["-1", "len"])
+    def test_id_outside_the_tree_rejected(self, which):
+        t = fig2()
+        v = -1 if which == "-1" else len(t)
+        with pytest.raises(ValidationError, match="node id %d out of range" % v):
+            structure_function(t, v, set())
+
 
 class TestCutSets:
     def test_fig1_cut_sets(self):

@@ -8,9 +8,12 @@ The corpus is the 900 trees ``GenConfig(seed=0..299, n_be=12, n_gates=9,
 n_multiparent=m)`` for m in 0, 3 and 10.  For each algorithm the script
 prints one SHA-256 (first 16 hex digits) over the exact values, one over
 the float values and one over the four counters of the float solves, then
-the counter sums.  A last line hashes the output of ``sfpa dom`` on every
-tree, written to a temporary directory, and the ``variable_budget`` of
-every tree, and gives the budgets' sum.  Two checkouts that print the same
+the counter sums.  The corpus is then written to a temporary directory
+and run through the command line: one line hashes the output of ``sfpa
+dom`` on every tree and the ``variable_budget`` of every tree, and gives
+the budgets' sum; the last hashes the ``raw_unreliability`` strings of
+``sfpa solve --exact`` with each algorithm and the output of ``sfpa
+mcs``, which read each file exactly.  Two checkouts that print the same
 lines compute the same thing on the corpus.
 
 ``--save FILE`` writes the float values as JSON; ``--compare FILE`` reads
@@ -47,17 +50,32 @@ def digest(items) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
-def dom_output(trees) -> str:
-    """What ``sfpa dom`` prints for each tree, one file after another."""
-    out = io.StringIO()
+#: The ``sfpa`` commands run on every file of the corpus.
+COMMANDS = {
+    "dom": ["dom"],
+    "sfpa2": ["solve", "--exact"],
+    "sfpa": ["solve", "--exact", "--algo", "sfpa"],
+    "mcs": ["mcs"],
+}
+
+
+def cli_outputs(trees) -> dict:
+    """What each of ``COMMANDS`` prints for each tree, one file after
+    another; of a solve, only its ``raw_unreliability`` lines."""
+    outs = {name: io.StringIO() for name in COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         for i, t in enumerate(trees):
             path = Path(tmp) / ("%d.dft" % i)
             path.write_text(serialize_ft(t), encoding="utf-8")
-            with contextlib.redirect_stdout(out):
-                if sfpa_main(["dom", str(path)]) != 0:
-                    raise SystemExit("sfpa dom failed on tree %d" % i)
-    return out.getvalue()
+            for name, command in COMMANDS.items():
+                with contextlib.redirect_stdout(outs[name]):
+                    if sfpa_main(command + [str(path)]) != 0:
+                        raise SystemExit("sfpa %s failed on tree %d" % (name, i))
+    texts = {name: out.getvalue() for name, out in outs.items()}
+    for name in ALGORITHMS:
+        texts[name] = "".join(json.loads(line)["raw_unreliability"] + "\n"
+                              for line in texts[name].splitlines())
+    return texts
 
 
 def main(argv=None):
@@ -79,8 +97,11 @@ def main(argv=None):
             "%s=%d" % (c, sum(row[i] for row in counters))
             for i, c in enumerate(COUNTERS))))
     budgets = [variable_budget(t) for t in trees]
+    outputs = cli_outputs(trees)
     print("dom    output %s  budgets %s  budget sum=%d" % (
-        digest(dom_output(trees)), digest(budgets), sum(budgets)))
+        digest(outputs["dom"]), digest(budgets), sum(budgets)))
+    print("cli    exact sfpa2 %s  exact sfpa %s  mcs %s" % (
+        digest(outputs["sfpa2"]), digest(outputs["sfpa"]), digest(outputs["mcs"])))
 
     if args.save:
         with open(args.save, "w") as out:
