@@ -1,7 +1,7 @@
 """Fault-tree unreliability analysis via squarefree polynomial algebras."""
 
-from .algebra import Poly, interpolate, tabulate
-from .dominators import check_idom_ordering, immediate_dominators, topo_sort
+from .algebra import Poly
+from .dominators import immediate_dominators, topo_sort
 from .errors import (
     AlgebraError,
     CapExceededError,
@@ -22,14 +22,7 @@ from .solver import (
     solve_treelike,
     variable_budget,
 )
-from .tree import (
-    FaultTree,
-    GateKind,
-    cut_sets,
-    oracle_unreliability,
-    pcft_unreliability,
-    structure_function,
-)
+from .tree import FaultTree, GateKind, cut_sets, oracle_unreliability
 
 __all__ = [
     "AlgebraError",
@@ -45,22 +38,17 @@ __all__ = [
     "SfpaError",
     "SolveReport",
     "ValidationError",
-    "check_idom_ordering",
     "cut_sets",
     "generate",
     "generate_corpus",
     "immediate_dominators",
-    "interpolate",
     "minimal_cut_set_via_reduction",
     "oracle_unreliability",
     "parse_ft",
-    "pcft_unreliability",
     "serialize_ft",
     "solve_sfpa",
     "solve_sfpa2",
     "solve_treelike",
-    "structure_function",
-    "tabulate",
     "topo_sort",
     "variable_budget",
 ]

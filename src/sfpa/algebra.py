@@ -139,31 +139,7 @@ class Poly:
 
     __rmul__ = __mul__
 
-    # -- restriction, substitution, evaluation ---------------------------
-
-    def restrict(self, index: int, bit: int) -> "Poly":
-        """Pin one variable to 0 or 1.
-
-        Pinning to 0 drops every term containing the variable; pinning
-        to 1 folds those terms onto their variable-free remainder.
-        """
-        var = _bit(index)
-        out = {}
-        for mask, coeff in self.terms.items():
-            if not mask & var:
-                acc = out.get(mask, 0) + coeff
-            elif bit:
-                mask &= ~var
-                acc = out.get(mask, 0) + coeff
-            else:
-                continue
-            if acc == 0:
-                out.pop(mask, None)
-            else:
-                out[mask] = acc
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, index: int, replacement: "Poly") -> "Poly":
         """Replace a variable by a whole polynomial.
@@ -200,30 +176,6 @@ class Poly:
         result.terms = out
         return result
 
-    def evaluate(self, assignment):
-        """Evaluate at a full 0/1 assignment.
-
-        ``assignment`` maps variable index -> 0/1 and must cover every
-        variable of the polynomial.  A term contributes its coefficient
-        iff all its variables are assigned 1.
-        """
-        covered = 0
-        ones = 0
-        for index, value in assignment.items():
-            covered |= _bit(index)
-            if value:
-                ones |= _bit(index)
-        missing = self.variable_mask() & ~covered
-        if missing:
-            raise AlgebraError(
-                "assignment does not cover variables %s" % sorted(_bits(missing))
-            )
-        total = 0
-        for mask, coeff in self.terms.items():
-            if mask & ~ones == 0:
-                total = total + coeff
-        return total
-
     # -- formatting ------------------------------------------------------
 
     def format(self, names=None) -> str:
@@ -251,56 +203,3 @@ class Poly:
     def __repr__(self):
         return "Poly(%s)" % self.format()
 
-
-def interpolate(values, variables) -> Poly:
-    """The unique squarefree polynomial matching a full truth table.
-
-    ``variables`` is an ordered sequence of variable indices.
-    ``values`` maps each bitmask over *positions* in that sequence
-    (bit j set means variables[j] = 1) to the desired value; it may be
-    a sequence of length ``2**len(variables)`` or an equivalent mapping.
-
-    The coefficients solve a lower-triangular system in subset order;
-    the forward substitution is performed as a Moebius transform over
-    the subset lattice.
-    """
-    n = len(variables)
-    size = 1 << n
-    if len(values) != size:
-        raise AlgebraError(
-            "truth table has %d entries, expected %d" % (len(values), size)
-        )
-    try:
-        table = [values[mask] for mask in range(size)]
-    except KeyError as exc:
-        raise AlgebraError(
-            "truth table has no entry for mask %r" % exc.args[0]
-        ) from None
-    for j in range(n):
-        bit = 1 << j
-        for mask in range(size):
-            if mask & bit:
-                table[mask] = table[mask] - table[mask ^ bit]
-    terms = {}
-    for mask in range(size):
-        coeff = table[mask]
-        if coeff == 0:
-            continue
-        real = 0
-        for j in range(n):
-            if mask & (1 << j):
-                real |= _bit(variables[j])
-        terms[real] = coeff
-    poly = Poly.__new__(Poly)
-    poly.terms = terms
-    return poly
-
-
-def tabulate(poly: Poly, variables) -> list:
-    """Inverse of :func:`interpolate`: evaluate over all 2**n assignments."""
-    n = len(variables)
-    table = []
-    for mask in range(1 << n):
-        assignment = {variables[j]: (mask >> j) & 1 for j in range(n)}
-        table.append(poly.evaluate(assignment))
-    return table

@@ -86,9 +86,11 @@ _ALGORITHMS = {
 def cmd_solve(args):
     t = _load(args.file, exact=args.exact)
     rep = _ALGORITHMS[args.algo](t, None)
+    raw = _json_value(rep.unreliability)
+    clamped = rep.clamped()
     report = {
-        "unreliability": _json_value(rep.clamped()),
-        "raw_unreliability": _json_value(rep.unreliability),
+        "unreliability": raw if clamped is rep.unreliability else _json_value(clamped),
+        "raw_unreliability": raw,
         "max_live_vars": rep.max_live_vars,
         "max_terms": rep.max_terms,
         "substitutions": rep.substitutions,

@@ -44,34 +44,3 @@ def immediate_dominators(t: FaultTree) -> dict[int, int]:
         idom[v] = new
     return idom
 
-
-def check_idom_ordering(idom: dict[int, int], t: FaultTree) -> bool:
-    """Verify the dominator ordering property on all comparable pairs.
-
-    For every pair with v strictly below w, either idom(v) lies at or
-    below w, or idom(w) lies at or below idom(v).  This holds on every
-    valid tree; the function exists as a test oracle.
-    """
-    n = len(t)
-    reach = [0] * n  # bitmask of descendants-or-self
-    for v in reversed(t.order):
-        mask = 1 << v
-        for w in t.children[v]:
-            mask |= reach[w]
-        reach[v] = mask
-
-    def below_eq(x, y):  # x is a descendant of (or equal to) y
-        return bool(reach[y] >> x & 1)
-
-    for w in range(n):
-        for v in range(n):
-            if v == w or not below_eq(v, w):
-                continue
-            # v is strictly below w
-            iv = idom[v]
-            ok = below_eq(iv, w)
-            if not ok and w != t.root:
-                ok = below_eq(idom[w], iv)
-            if not ok:
-                return False
-    return True

@@ -18,7 +18,7 @@ reading accepts the literals ``Fraction`` accepts, and a decimal
 exponent past ``_MAX_EXPONENT`` either way is a bad probability.
 ``FaultTree`` rejects every name the serializer could not write back: one
 containing ``"``, ``//`` or a line break, or the name ``toplevel``.
-The format covers plain fault trees only (no CBEs, no dynamic gates).
+The format covers static fault trees only (no dynamic gates).
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def serialize_ft(t: FaultTree) -> str:
     (root first, parents before children), then BEs sorted by name."""
     lines = ['toplevel "%s";' % t.names[t.root]]
     for v in t.order:
-        if t.kinds[v] in (GateKind.AND, GateKind.OR):
+        if t.children[v]:  # a gate
             kids = " ".join('"%s"' % t.names[w] for w in t.children[v])
             lines.append('"%s" %s %s;' % (t.names[v], t.kinds[v].value, kids))
     for v in sorted(t.basic_events(), key=lambda u: t.names[u]):

@@ -75,12 +75,8 @@ class SolveReport:
         return mask
 
     def clamped(self):
+        """``unreliability`` pinned to [0, 1]; the same object if it lies there."""
         return min(max(self.unreliability, 0), 1)
-
-
-def _require_plain_ft(t: FaultTree):
-    if t.controllable_events():
-        raise ValidationError("solver operates on fault trees without CBEs")
 
 
 def _eliminate(factors, pending, g, num, report, observe=None):
@@ -143,7 +139,6 @@ def _solve(t: FaultTree, idom: dict[int, int] | None, algorithm: str,
     Flat lists and hoisted locals: on large DAGs the solve is memory-bound
     and dict/attribute traffic would otherwise dominate the polynomial work.
     """
-    _require_plain_ft(t)
     start = time.perf_counter()
     if idom is None:
         idom = immediate_dominators(t)
@@ -244,7 +239,6 @@ def solve_sfpa2(t: FaultTree, idom: dict[int, int] | None = None) -> SolveReport
 @_exact_decimals
 def solve_treelike(t: FaultTree):
     """Classical numeric bottom-up unreliability; trees only."""
-    _require_plain_ft(t)
     for v in t.multiparent_nodes():
         raise NotATreeError(t.names[v])
     value = {}

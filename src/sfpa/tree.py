@@ -1,18 +1,14 @@
 """Fault-tree data model and exhaustive (oracle) analysis.
 
 A fault tree is a rooted DAG whose leaves are basic events (BEs) with
-failure probabilities and whose internal nodes are AND/OR gates.  Leaves
-may also be *controllable* basic events (CBEs), whose 0/1 state is set
-externally rather than drawn at random; a tree with CBEs is what the
-rest of the package calls a PCFT.
+failure probabilities and whose internal nodes are AND/OR gates.
 
 Nodes are identified by dense integer ids in declaration order; names
 are kept for I/O only.  All objects are immutable after construction and
 every function here is pure.
 
 Safety events are represented as frozensets of *failed* BE ids (the
-implicit domain is the full BE set of the tree); CBE states are passed
-as mappings from CBE id to 0/1.
+implicit domain is the full BE set of the tree).
 """
 
 from __future__ import annotations
@@ -20,8 +16,8 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact,
-                     InvalidOperation, Overflow, Rounded, localcontext)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero,
+                     Inexact, InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 
 from .errors import CapExceededError, ValidationError
@@ -59,22 +55,23 @@ class GateKind(enum.Enum):
     AND = "and"
     OR = "or"
     BE = "be"
-    CBE = "cbe"
 
 
-_LEAF_KINDS = (GateKind.BE, GateKind.CBE)
+#: Probability types that do not mix: Decimal with float or Fraction
+#: raises TypeError mid-solve, Fraction with float rounds to float.
+_PROB_TYPES = (float, Decimal, Fraction)
 
 
 class FaultTree:
-    """An immutable, validated fault tree (or PCFT, if CBEs are present).
+    """An immutable, validated fault tree.
 
     Attributes:
         names: tuple of node names, indexed by node id.
-        kinds: tuple of GateKind per node.
+        kinds: tuple of GateKind members (AND, OR or BE) per node.
         children: tuple of child-id tuples per node.
         parents: tuple of parent-id tuples per node (derived).
-        probs: dict BE id -> failure probability (float, Decimal or
-            Fraction).
+        probs: dict BE id -> failure probability: floats, Decimals or
+            Fractions, one type per tree (ints mix with each).
         root: id of the root node.
         order: tuple of all node ids, root first and every parent before
             its children, ties broken by smallest id (computed once by
@@ -113,20 +110,24 @@ class FaultTree:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def build(cls, root, gates, probs, cbes=()):
+    def build(cls, root, gates, probs):
         """Build a tree from name-based dictionaries.
 
         ``gates`` maps gate name -> (kind, [child names]) with kind either
         a GateKind or the string "and"/"or".  ``probs`` maps BE name ->
-        probability; ``cbes`` lists CBE names.  Ids are assigned in
-        declaration order: gates first, then BEs, then CBEs.
+        probability.  Ids are assigned in declaration order: gates first,
+        then BEs.
         """
         names = []
         kinds = []
         child_names = []
         for name, (kind, kids) in gates.items():
             if isinstance(kind, str):
-                kind = GateKind(kind.lower())
+                try:
+                    kind = GateKind(kind.lower())
+                except ValueError:
+                    raise ValidationError(
+                        "node %r has unknown kind %r" % (name, kind)) from None
             names.append(name)
             kinds.append(kind)
             child_names.append(list(kids))
@@ -135,10 +136,6 @@ class FaultTree:
             id_probs[len(names)] = p
             names.append(name)
             kinds.append(GateKind.BE)
-            child_names.append([])
-        for name in cbes:
-            names.append(name)
-            kinds.append(GateKind.CBE)
             child_names.append([])
         index = {}
         for i, name in enumerate(names):
@@ -177,18 +174,23 @@ class FaultTree:
         # Whole-tuple scans for what _check_nodes checks node by node; it
         # runs only when a scan fails, and names the smallest offending id.
         # A gate lists a child twice exactly when the child lists that gate
-        # twice among its parents.
-        probs = self.probs
-        bes = [v for v, kind in enumerate(self.kinds) if kind is GateKind.BE]
+        # twice among its parents.  The members are bound once: reading
+        # GateKind.BE is a descriptor call, and Enum hashing runs Python
+        # code, so the kinds are counted rather than put in a set.
+        probs, kinds = self.probs, self.kinds
+        BE, AND, OR = GateKind.BE, GateKind.AND, GateKind.OR
+        bes = [v for v, kind in enumerate(kinds) if kind is BE]
         if not (
-            list(map(bool, self.children))
-            == [kind not in _LEAF_KINDS for kind in self.kinds]
+            len(bes) + kinds.count(AND) + kinds.count(OR) == n
+            and list(map(bool, self.children)) == [kind is not BE for kind in kinds]
             and all(len(set(p)) == len(p) for p in self.parents if len(p) > 1)
             and len(bes) == len(probs)
             and all(map(probs.__contains__, bes))
             and all(0 <= p <= 1 for p in probs.values())
         ):
             self._check_nodes()
+        if len(set(map(type, probs.values()))) > 1:
+            self._check_prob_types()
         sources = [v for v in range(n) if not self.parents[v]]
         if all(min(kids) > v for v, kids in enumerate(self.children) if kids):
             # every edge leads to a larger id, so the smallest-id-first pass
@@ -209,21 +211,15 @@ class FaultTree:
         for v in range(len(self.names)):
             kind = self.kinds[v]
             kids = self.children[v]
-            if kind in _LEAF_KINDS:
+            if not isinstance(kind, GateKind):
+                raise ValidationError(
+                    "node %r has unknown kind %r" % (self.names[v], kind)
+                )
+            if kind is GateKind.BE:
                 if kids:
                     raise ValidationError(
                         "leaf %r must not have children" % self.names[v]
                     )
-            else:
-                if not kids:
-                    raise ValidationError(
-                        "gate %r has no children" % self.names[v]
-                    )
-                if len(set(kids)) != len(kids):
-                    raise ValidationError(
-                        "gate %r lists a child twice" % self.names[v]
-                    )
-            if kind is GateKind.BE:
                 if v not in self.probs:
                     raise ValidationError(
                         "basic event %r has no probability" % self.names[v]
@@ -233,10 +229,38 @@ class FaultTree:
                     raise ValidationError(
                         "probability %s of %r outside [0,1]" % (p, self.names[v])
                     )
-            elif v in self.probs:
+                continue
+            if not kids:
+                raise ValidationError(
+                    "gate %r has no children" % self.names[v]
+                )
+            if len(set(kids)) != len(kids):
+                raise ValidationError(
+                    "gate %r lists a child twice" % self.names[v]
+                )
+            if v in self.probs:
                 raise ValidationError(
                     "node %r is not a basic event but has a probability"
                     % self.names[v]
+                )
+
+    def _check_prob_types(self):
+        """Name the first two BEs, by id, whose probabilities are of two
+        of ``_PROB_TYPES``."""
+        first = None
+        for v in sorted(self.probs):
+            cls = type(self.probs[v])
+            family = next((f for f in _PROB_TYPES if issubclass(cls, f)), None)
+            if family is None:
+                continue
+            if first is None:
+                first = v, family, cls
+            elif family is not first[1]:
+                raise ValidationError(
+                    "probability of %r is a %s but that of %r is a %s: "
+                    "float, Decimal and Fraction do not mix"
+                    % (self.names[first[0]], first[2].__name__, self.names[v],
+                       cls.__name__)
                 )
 
     def _kahn(self, sources):
@@ -259,9 +283,6 @@ class FaultTree:
             raise ValidationError("cycle detected through node %r" % self.names[cyc])
         return tuple(order)
 
-    def _reachable_from(self, v):
-        return _reachable(self.children, v)
-
     # -- basic queries ---------------------------------------------------
 
     def __len__(self):
@@ -269,11 +290,8 @@ class FaultTree:
 
     def basic_events(self):
         """BE ids in ascending id order."""
-        return [v for v, k in enumerate(self.kinds) if k is GateKind.BE]
-
-    def controllable_events(self):
-        """CBE ids in ascending id order."""
-        return [v for v, k in enumerate(self.kinds) if k is GateKind.CBE]
+        BE = GateKind.BE
+        return [v for v, k in enumerate(self.kinds) if k is BE]
 
     def multiparent_nodes(self):
         """Ids of nodes with two or more parents, ascending."""
@@ -284,100 +302,8 @@ class FaultTree:
         probs = {v: Fraction(p) for v, p in self.probs.items()}
         return FaultTree(self.names, self.kinds, self.children, probs, self.root)
 
-    # -- structural constructions ---------------------------------------
 
-    def subtree(self, v):
-        """The sub-tree of all descendants of ``v``, rooted at ``v``."""
-        return self._rebuild(v, ())
-
-    def restrict(self, cut):
-        """Turn each node in ``cut`` into a CBE and drop what becomes unreachable.
-
-        Nodes in ``cut`` lose their outgoing edges (and probability); the
-        result is the portion still reachable from the root.
-        """
-        return self._rebuild(self.root, cut)
-
-    def _rebuild(self, top, cut):
-        """The part reachable from ``top`` once every node in ``cut`` is a
-        childless CBE, rooted at ``top``; kept ids are renumbered densely
-        in their old order."""
-        cut = set(cut)
-        _check_ids(self, (top, *cut))
-        children = [() if v in cut else kids for v, kids in enumerate(self.children)]
-        keep = sorted(_reachable(children, top))
-        remap = {old: new for new, old in enumerate(keep)}
-        return FaultTree(
-            [self.names[u] for u in keep],
-            [GateKind.CBE if u in cut else self.kinds[u] for u in keep],
-            [[remap[w] for w in children[u]] for u in keep],
-            {remap[u]: p for u, p in self.probs.items()
-             if u in remap and u not in cut},
-            remap[top],
-        )
-
-
-def _check_ids(t, ids):
-    for v in ids:
-        if not (0 <= v < len(t.names)):
-            raise ValidationError("node id %d out of range" % v)
-
-
-def _reachable(children, v):
-    """Ids reachable from ``v`` (itself included) along ``children``."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in children[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-# -- structure function and exhaustive analysis -------------------------
-
-
-def _as_on_set(x, ids, what, kind):
-    """Normalize a safety event (``what`` "event", ``kind`` "BE") or a
-    control ("control", "CBE"): a set of the ``ids`` that are on, or a
-    mapping from exactly those ids to 0/1, to a frozenset of the ids on."""
-    ids = set(ids)
-    if isinstance(x, (set, frozenset)):
-        extra = set(x) - ids
-        if extra:
-            raise ValidationError(
-                "%s mentions non-%s ids %s" % (what, kind, sorted(extra)))
-        return frozenset(x)
-    if set(x) != ids:
-        raise ValidationError(
-            "%s must be defined on exactly the %s set" % (what, kind))
-    return frozenset(v for v in x if x[v])
-
-
-def structure_function(t: FaultTree, v: int, f, c=None) -> bool:
-    """Evaluate the recursive Boolean structure function at node ``v``.
-
-    ``f`` is a safety event (set of failed BE ids, or a full mapping);
-    ``c`` likewise fixes the CBE states when the tree has CBEs.
-    """
-    _check_ids(t, (v,))
-    failed = _as_on_set(f, t.basic_events(), "event", "BE")
-    on = _as_on_set(frozenset() if c is None else c, t.controllable_events(),
-                    "control", "CBE")
-    value = {}
-    for u in reversed(t.order):
-        kind = t.kinds[u]
-        if kind is GateKind.BE:
-            value[u] = u in failed
-        elif kind is GateKind.CBE:
-            value[u] = u in on
-        elif kind is GateKind.OR:
-            value[u] = any(value[w] for w in t.children[u])
-        else:
-            value[u] = all(value[w] for w in t.children[u])
-    return value[v]
+# -- exhaustive analysis -----------------------------------------------
 
 
 def _variable_tables(n: int):
@@ -398,7 +324,7 @@ def _variable_tables(n: int):
     return patterns
 
 
-def _root_table(t: FaultTree, control=frozenset()):
+def _root_table(t: FaultTree):
     """Evaluate the structure function at the root over all BE assignments.
 
     Returns (bes, table) where bit a of ``table`` is the root value under
@@ -406,13 +332,7 @@ def _root_table(t: FaultTree, control=frozenset()):
     """
     bes = t.basic_events()
     n = len(bes)
-    patterns = _variable_tables(n)
-    full = (1 << (1 << n)) - 1
-    table = {}
-    for j, v in enumerate(bes):
-        table[v] = patterns[j]
-    for v in t.controllable_events():
-        table[v] = full if v in control else 0
+    table = dict(zip(bes, _variable_tables(n)))
     for u in reversed(t.order):
         if u in table:
             continue
@@ -457,19 +377,6 @@ def cut_sets(t: FaultTree, cap=DEFAULT_ENUM_CAP):
 
 
 @_exact_decimals
-def _failure_probability(t: FaultTree, control, cap):
-    """Sum the weights of the BE assignments that fail the root."""
-    _check_cap(t, cap)
-    bes, table = _root_table(t, control)
-    weights = _assignment_weights(t, bes)
-    blob = table.to_bytes((len(weights) + 7) // 8, "little")
-    total = 0
-    for a, w in enumerate(weights):
-        if blob[a >> 3] & (1 << (a & 7)):
-            total = total + w
-    return total
-
-
 def oracle_unreliability(t: FaultTree, cap=DEFAULT_ENUM_CAP):
     """Top-event failure probability by explicit summation over cut sets.
 
@@ -477,10 +384,12 @@ def oracle_unreliability(t: FaultTree, cap=DEFAULT_ENUM_CAP):
     validated against; exact when the probabilities are Fractions or
     Decimals.
     """
-    return _failure_probability(t, frozenset(), cap)
-
-
-def pcft_unreliability(t: FaultTree, c, cap=DEFAULT_ENUM_CAP):
-    """Failure probability of a PCFT with its CBE states fixed to ``c``."""
-    on = _as_on_set(c, t.controllable_events(), "control", "CBE")
-    return _failure_probability(t, on, cap)
+    _check_cap(t, cap)
+    bes, table = _root_table(t)
+    weights = _assignment_weights(t, bes)
+    blob = table.to_bytes((len(weights) + 7) // 8, "little")
+    total = 0
+    for a, w in enumerate(weights):
+        if blob[a >> 3] & (1 << (a & 7)):
+            total = total + w
+    return total

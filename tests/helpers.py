@@ -23,11 +23,10 @@ from sfpa import (
     ValidationError,
     generate,
     immediate_dominators,
-    pcft_unreliability,
     solve_sfpa2,
-    structure_function,
 )
 from sfpa.solver import MCS_CAP
+from oracles import structure_function
 
 
 def fig1():
@@ -357,38 +356,18 @@ def trees_equivalent(ta: FaultTree, tb: FaultTree) -> bool:
     and same probabilities, checked over every assignment."""
     bes_a = {ta.names[v]: v for v in ta.basic_events()}
     bes_b = {tb.names[v]: v for v in tb.basic_events()}
-    cbes_a = {ta.names[v]: v for v in ta.controllable_events()}
-    cbes_b = {tb.names[v]: v for v in tb.controllable_events()}
-    if set(bes_a) != set(bes_b) or set(cbes_a) != set(cbes_b):
+    if set(bes_a) != set(bes_b):
         return False
     if any(ta.probs[bes_a[n]] != tb.probs[bes_b[n]] for n in bes_a):
         return False
-    names = sorted(bes_a) + sorted(cbes_a)
+    names = sorted(bes_a)
     for bits in itertools.product([0, 1], repeat=len(names)):
         state = dict(zip(names, bits))
         fa = {bes_a[n] for n in bes_a if state[n]}
         fb = {bes_b[n] for n in bes_b if state[n]}
-        ca = {cbes_a[n] for n in cbes_a if state[n]}
-        cb = {cbes_b[n] for n in cbes_b if state[n]}
-        if structure_function(ta, ta.root, fa, ca) != structure_function(
-            tb, tb.root, fb, cb
-        ):
+        if structure_function(ta, ta.root, fa) != structure_function(tb, tb.root, fb):
             return False
     return True
-
-
-def unreliability_table(t: FaultTree):
-    """Tabulate a PCFT's unreliability over all CBE assignments.
-
-    Returns (cbe_ids, table) with table[mask] the unreliability when the
-    CBEs whose position bit is set in mask are on.
-    """
-    cbes = t.controllable_events()
-    table = []
-    for mask in range(1 << len(cbes)):
-        on = {cbes[j] for j in range(len(cbes)) if (mask >> j) & 1}
-        table.append(pcft_unreliability(t, on))
-    return cbes, table
 
 
 def make_rng(seed):

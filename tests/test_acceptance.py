@@ -15,21 +15,26 @@ import pytest
 from sfpa import (
     FaultTree,
     Poly,
-    check_idom_ordering,
     cut_sets,
     generate,
     GenConfig,
     immediate_dominators,
-    interpolate,
     minimal_cut_set_via_reduction,
     oracle_unreliability,
-    pcft_unreliability,
     solve_sfpa,
     solve_sfpa2,
     solve_treelike,
     variable_budget,
 )
 from helpers import brute_force_idom, fig1, fig2, make_rng, random_tree
+from oracles import (
+    check_idom_ordering,
+    interpolate,
+    reachable,
+    restrict,
+    tabulate,
+    unreliability_table,
+)
 
 X, Y, Z = 0, 1, 2
 
@@ -131,7 +136,7 @@ def test_criterion_4_algebra_laws():
         b = random_poly(rng, (1, 2, 3, 4, 5))
         ok &= a.substitute(0, b) == substitute_by_definition(a, 0, b)
         ok &= a.substitute(0, b) == (
-            a.restrict(0, 1) * b + a.restrict(0, 0) * (1 - b)
+            restrict(a, 0, 1) * b + restrict(a, 0, 0) * (1 - b)
         )
     for _ in range(cases):
         a1 = random_poly(rng, (0, 1, 2, 3))
@@ -150,8 +155,6 @@ def test_criterion_4_algebra_laws():
         ok &= a1.substitute(0, b1).substitute(1, b2) == (
             a1.substitute(1, b2).substitute(0, b1)
         )
-    from sfpa import tabulate
-
     for _ in range(cases):
         poly = random_poly(rng, (0, 1, 2))
         ok &= interpolate(tabulate(poly, [0, 1, 2]), [0, 1, 2]) == poly
@@ -181,24 +184,13 @@ def test_criterion_5_node_expressions_are_restricted_subtree_unreliabilities():
                         exact=True)
         idom = immediate_dominators(t)
         report = solve_sfpa(t, idom, capture=True)
-        descendants = {v: t._reachable_from(v) for v in range(len(t))}
+        descendants = {v: reachable(t.children, v) for v in range(len(t))}
         for v in range(len(t)):
             if not t.children[v]:
                 continue
             g = report.history[v][-1]
-            sub = t.subtree(v)
-            cut = [sub.name_to_id[t.names[w]]
-                   for w in _live_below(t, idom, v, descendants)]
-            r = sub.restrict(cut)
-            cbes = r.controllable_events()
-            table = [
-                pcft_unreliability(
-                    r, {cbes[j] for j in range(len(cbes)) if (m >> j) & 1}
-                )
-                for m in range(1 << len(cbes))
-            ]
-            expected = interpolate(table, [t.name_to_id[r.names[w]]
-                                           for w in cbes])
+            live = _live_below(t, idom, v, descendants)
+            expected = interpolate(unreliability_table(t, v, live), live)
             ok &= g == expected
     verdict(5, ok, "captured node expressions interpolate their restricted "
                    "subtrees' unreliability tables (50 exact instances)")

@@ -5,7 +5,6 @@ from collections import Counter
 from sfpa import (
     FaultTree,
     GenConfig,
-    check_idom_ordering,
     generate,
     immediate_dominators,
     topo_sort,
@@ -17,6 +16,7 @@ from helpers import (
     make_rng,
     random_tree,
 )
+from oracles import check_idom_ordering
 
 
 def test_shared_be_example():

@@ -1,7 +1,8 @@
-"""Data model, structure function, cut sets, oracle, PCFT machinery."""
+"""Data model, structure function, cut sets, oracle, pinned sub-trees."""
 
 import heapq
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,9 @@ from sfpa import (
     GateKind,
     ValidationError,
     cut_sets,
-    interpolate,
     oracle_unreliability,
     parse_ft,
-    pcft_unreliability,
     serialize_ft,
-    structure_function,
 )
 from helpers import (
     fig1,
@@ -27,6 +25,13 @@ from helpers import (
     make_rng,
     random_tree,
     trees_equivalent,
+)
+from oracles import (
+    evaluate,
+    interpolate,
+    pinned,
+    structure_function,
+    subtree,
     unreliability_table,
 )
 
@@ -80,10 +85,27 @@ class TestValidation:
         with pytest.raises(ValidationError, match="twice"):
             FaultTree.build("top", {"top": ("and", ["a", "a"])}, {"a": 0.5})
 
-    def test_cbe_carries_no_probability(self):
-        t = FaultTree.build("top", {"top": ("or", ["a", "c"])}, {"a": 0.5}, cbes=["c"])
-        assert t.controllable_events() == [t.name_to_id["c"]]
-        assert t.name_to_id["c"] not in t.probs
+    @pytest.mark.parametrize("kind", ["xor", "cbe"])
+    def test_build_rejects_an_unknown_kind(self, kind):
+        with pytest.raises(ValidationError, match="node 'top' has unknown kind %r" % kind):
+            FaultTree.build("top", {"top": (kind, ["a"])}, {"a": 0.5})
+
+    @pytest.mark.parametrize("p, q", [
+        (Decimal("0.5"), Fraction(1, 4)),
+        (Decimal("0.5"), 0.25),
+        (Fraction(1, 2), 0.25),
+    ], ids=["Decimal-Fraction", "Decimal-float", "Fraction-float"])
+    def test_mixed_probability_types_rejected(self, p, q):
+        message = ("probability of 'a' is a %s but that of 'b' is a %s"
+                   % (type(p).__name__, type(q).__name__))
+        with pytest.raises(ValidationError, match=message):
+            FaultTree.build("top", {"top": ("and", ["a", "b"])}, {"a": p, "b": q})
+
+    @pytest.mark.parametrize("p", [0.5, Decimal("0.5"), Fraction(1, 2)])
+    def test_int_probabilities_mix_with_any_type(self, p):
+        t = FaultTree.build("top", {"top": ("and", ["a", "b", "c"])},
+                            {"a": p, "b": 1, "c": True})
+        assert oracle_unreliability(t) == p
 
     def test_single_child_gate_is_identity(self):
         t = FaultTree.build("top", {"top": ("and", ["a"])}, {"a": 0.3})
@@ -134,6 +156,13 @@ _TWO_OFFENDERS = {
     "unwritable name": (
         ["top", 'x"y', "a//b"], [OR, BE, BE], [[1, 2], [], []],
         {2: 0.5, 1: 0.5}, """node name 'x"y' cannot be written"""),
+    # raw strings instead of GateKind members
+    "unknown gate kind": (
+        ["top", "g1", "g2", "a"], [OR, "or", "and", BE], [[1, 2], [3], [3], []],
+        {3: 0.5}, "node 'g1' has unknown kind 'or'"),
+    "unknown leaf kind": (
+        ["top", "a", "b"], [OR, "be", "cbe"], [[1, 2], [], []],
+        {2: 0.5, 1: 0.5}, "node 'a' has unknown kind 'be'"),
 }
 
 
@@ -296,36 +325,28 @@ class TestOracle:
 
 
 class TestPcft:
-    def example3(self):
-        return FaultTree.build(
-            "top", {"top": ("or", ["a", "b"])}, {"a": 0.4}, cbes=["b"]
-        )
+    """A PCFT is a tree whose control nodes are pinned to 1 (on) or 0 (off)."""
+
+    def example3(self, p=0.4):
+        # top = OR(a, b) with b a control node
+        t = FaultTree.build("top", {"top": ("or", ["a", "b"])}, {"a": p, "b": 0})
+        return t, t.name_to_id["b"]
 
     def test_example3_values(self):
-        t = self.example3()
-        b = t.name_to_id["b"]
-        assert pcft_unreliability(t, set()) == pytest.approx(0.4)
-        assert pcft_unreliability(t, {b}) == pytest.approx(1.0)
+        t, b = self.example3()
+        assert oracle_unreliability(pinned(t, t.root, [b])) == pytest.approx(0.4)
+        assert oracle_unreliability(pinned(t, t.root, [b], {b})) == pytest.approx(1.0)
 
     def test_example3_polynomial(self):
-        t_exact = FaultTree.build(
-            "top", {"top": ("or", ["a", "b"])}, {"a": Fraction(2, 5)}, cbes=["b"]
-        )
-        cbes, table = unreliability_table(t_exact)
-        poly = interpolate(table, cbes)
-        (b,) = cbes
+        t, b = self.example3(Fraction(2, 5))
+        poly = interpolate(unreliability_table(t, t.root, [b]), [b])
         assert poly.terms == {0: Fraction(2, 5), 1 << b: Fraction(3, 5)}
-        assert poly.evaluate({b: 1}) == 1
+        assert evaluate(poly, {b: 1}) == 1
 
     def test_single_cbe_tree(self):
-        t = FaultTree.build("x", {}, {}, cbes=["x"])
-        assert pcft_unreliability(t, {t.root}) == 1
-        assert pcft_unreliability(t, set()) == 0
-
-    def test_control_domain_checked(self):
-        t = self.example3()
-        with pytest.raises(ValidationError, match="exactly the CBE set"):
-            pcft_unreliability(t, {t.name_to_id["a"]: True})
+        t = FaultTree.build("x", {}, {"x": 0.5})
+        assert oracle_unreliability(pinned(t, t.root, [t.root], {t.root})) == 1
+        assert oracle_unreliability(pinned(t, t.root, [t.root])) == 0
 
 
 class TestSubtreeRestrict:
@@ -339,32 +360,33 @@ class TestSubtreeRestrict:
 
     def test_subtree(self):
         t = self.pcft_fig3()
-        sub = t.subtree(t.name_to_id["d"])
+        sub = subtree(t, t.name_to_id["d"])
         expected = FaultTree.build("d", {"d": ("and", ["a", "b"])}, {"a": 0.2, "b": 0.3})
         assert trees_equivalent(sub, expected)
 
     def test_subtree_of_root_is_whole_tree(self):
         t = self.pcft_fig3()
-        assert trees_equivalent(t.subtree(t.root), t)
+        assert trees_equivalent(subtree(t, t.root), t)
 
     def test_subtree_of_be(self):
         t = self.pcft_fig3()
-        sub = t.subtree(t.name_to_id["a"])
+        sub = subtree(t, t.name_to_id["a"])
         assert len(sub) == 1 and sub.kinds[sub.root] is GateKind.BE
 
     def test_restrict_drops_unreachable(self):
         t = self.pcft_fig3()
         ids = [t.name_to_id["c"], t.name_to_id["d"]]
-        cut = t.restrict(ids)
-        expected = FaultTree.build("r", {"r": ("or", ["d", "c"])}, {}, cbes=["d", "c"])
+        cut = pinned(t, t.root, ids, {t.name_to_id["c"]})
+        expected = FaultTree.build("r", {"r": ("or", ["d", "c"])}, {"d": 0, "c": 1})
         assert trees_equivalent(cut, expected)
         # adding already-unreachable nodes changes nothing
-        more = t.restrict(ids + [t.name_to_id["a"], t.name_to_id["b"]])
+        more = pinned(t, t.root, ids + [t.name_to_id["a"], t.name_to_id["b"]],
+                      {t.name_to_id["c"]})
         assert trees_equivalent(more, expected)
 
     def test_restrict_empty_is_identity(self):
         t = self.pcft_fig3()
-        assert trees_equivalent(t.restrict([]), t)
+        assert trees_equivalent(pinned(t, t.root, []), t)
 
     @pytest.mark.parametrize("method", ["subtree", "restrict"])
     @pytest.mark.parametrize("which", ["-1", "len"])
@@ -374,6 +396,8 @@ class TestSubtreeRestrict:
                      '"d" and "a" "b";\n"r" or "d" "b";\n')
         assert t.names[-1] == "r"
         v = -1 if which == "-1" else len(t)
-        arg = v if method == "subtree" else [v]
         with pytest.raises(ValidationError, match="node id %d out of range" % v):
-            getattr(t, method)(arg)
+            if method == "subtree":
+                subtree(t, v)
+            else:
+                pinned(t, t.root, [v])

@@ -13,8 +13,12 @@ and run through the command line: one line hashes the output of ``sfpa
 dom`` on every tree and the ``variable_budget`` of every tree, and gives
 the budgets' sum; the last hashes the ``raw_unreliability`` strings of
 ``sfpa solve --exact`` with each algorithm and the output of ``sfpa
-mcs``, which read each file exactly.  Two checkouts that print the same
-lines compute the same thing on the corpus.
+mcs``, which read each file exactly.  The last line hashes the float
+``oracle_unreliability`` of every tree, the output of ``sfpa check`` on
+the corpus directory, and the ``raw_unreliability`` strings of ``sfpa
+solve --exact --algo treelike`` on the tree-shaped files (no multiparent
+node; the 300 with m = 0).  Two checkouts that print the same lines
+compute the same thing on the corpus.
 
 ``--save FILE`` writes the float values as JSON; ``--compare FILE`` reads
 such a file and prints, per algorithm, how many float values differ from
@@ -28,11 +32,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
-from sfpa import (GenConfig, generate, serialize_ft, solve_sfpa, solve_sfpa2,
-                  variable_budget)
+from sfpa import (GenConfig, generate, oracle_unreliability, serialize_ft,
+                  solve_sfpa, solve_sfpa2, variable_budget)
 from sfpa.cli import main as sfpa_main
 
 COUNTERS = ("max_terms", "max_live_vars", "substitutions", "multiplications")
@@ -56,25 +61,38 @@ COMMANDS = {
     "sfpa2": ["solve", "--exact"],
     "sfpa": ["solve", "--exact", "--algo", "sfpa"],
     "mcs": ["mcs"],
+    "treelike": ["solve", "--exact", "--algo", "treelike"],
 }
+#: Commands run only on the tree-shaped files: they refuse shared nodes.
+TREE_ONLY = {"treelike"}
 
 
 def cli_outputs(trees) -> dict:
     """What each of ``COMMANDS`` prints for each tree, one file after
-    another; of a solve, only its ``raw_unreliability`` lines."""
-    outs = {name: io.StringIO() for name in COMMANDS}
+    another, and ``sfpa check`` on the whole directory, with the
+    directory left out of its paths; of a solve, only its
+    ``raw_unreliability`` lines."""
+    outs = {name: io.StringIO() for name in (*COMMANDS, "check")}
     with tempfile.TemporaryDirectory() as tmp:
         for i, t in enumerate(trees):
             path = Path(tmp) / ("%d.dft" % i)
             path.write_text(serialize_ft(t), encoding="utf-8")
             for name, command in COMMANDS.items():
+                if name in TREE_ONLY and t.multiparent_nodes():
+                    continue
                 with contextlib.redirect_stdout(outs[name]):
                     if sfpa_main(command + [str(path)]) != 0:
                         raise SystemExit("sfpa %s failed on tree %d" % (name, i))
+        with contextlib.redirect_stdout(outs["check"]):
+            if sfpa_main(["check", tmp]) != 0:
+                raise SystemExit("sfpa check failed on the corpus")
+        prefix = os.path.join(tmp, "")
     texts = {name: out.getvalue() for name, out in outs.items()}
-    for name in ALGORITHMS:
-        texts[name] = "".join(json.loads(line)["raw_unreliability"] + "\n"
-                              for line in texts[name].splitlines())
+    texts["check"] = texts["check"].replace(prefix, "")
+    for name, command in COMMANDS.items():
+        if command[0] == "solve":
+            texts[name] = "".join(json.loads(line)["raw_unreliability"] + "\n"
+                                  for line in texts[name].splitlines())
     return texts
 
 
@@ -102,6 +120,10 @@ def main(argv=None):
         digest(outputs["dom"]), digest(budgets), sum(budgets)))
     print("cli    exact sfpa2 %s  exact sfpa %s  mcs %s" % (
         digest(outputs["sfpa2"]), digest(outputs["sfpa"]), digest(outputs["mcs"])))
+    oracle = [oracle_unreliability(t) for t in trees]
+    print("ref    oracle float %s  check %s  exact treelike %s (%d trees)" % (
+        digest(oracle), digest(outputs["check"]), digest(outputs["treelike"]),
+        len(outputs["treelike"].splitlines())))
 
     if args.save:
         with open(args.save, "w") as out:
