@@ -59,7 +59,9 @@ def _load(path, exact=False):
 
 def _json_value(x):
     if isinstance(x, (Fraction, Decimal)):
-        return "%d/%d" % x.as_integer_ratio()
+        # a Decimal writes an int's digits in full: str(int) refuses more
+        # than sys.get_int_max_str_digits() of them
+        return "%s/%s" % tuple(map(Decimal, x.as_integer_ratio()))
     return float(format(x, ".17g"))
 
 

@@ -164,11 +164,18 @@ def _format_prob(p) -> str:
 def serialize_ft(t: FaultTree) -> str:
     """Deterministic serialization: toplevel, gates in topological order
     (root first, parents before children), then BEs sorted by name."""
-    lines = ['toplevel "%s";' % t.names[t.root]]
+    names, children, kinds = t.names, t.children, t.kinds
+    name = names.__getitem__
+    AND = GateKind.AND
+    lines = ['toplevel "%s";' % names[t.root]]
     for v in t.order:
-        if t.children[v]:  # a gate
-            kids = " ".join('"%s"' % t.names[w] for w in t.children[v])
-            lines.append('"%s" %s %s;' % (t.names[v], t.kinds[v].value, kids))
-    for v in sorted(t.basic_events(), key=lambda u: t.names[u]):
-        lines.append('"%s" prob=%s;' % (t.names[v], _format_prob(t.probs[v])))
-    return "\n".join(lines) + "\n"
+        kids = children[v]
+        if kids:  # a gate
+            kind = "and" if kinds[v] is AND else "or"
+            lines.append('"%s" %s "%s";' % (names[v], kind, '" "'.join(map(name, kids))))
+    # names are unique, so the sort never compares two probabilities
+    for be, p in sorted(zip(map(name, t.probs), t.probs.values())):
+        lines.append('"%s" prob=%s;' % (be, repr(p) if p.__class__ is float
+                                        else _format_prob(p)))
+    lines.append("")
+    return "\n".join(lines)

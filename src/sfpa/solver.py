@@ -17,6 +17,19 @@ become variables: the plain one gives every gate child a variable, the
 optimized one folds single-parent children directly into the gate
 expression and gives variables to multiparent nodes only.
 
+The optimized algorithm also picks each variable's polarity.  A
+multiparent node whose parents are mostly OR gates gets a complemented
+variable ``y = 1 - x``: an OR over k such children is then the one term
+``1 - y_1...y_k`` instead of the 2**k - 1 terms of ``1 - prod(1 - x_i)``
+(the complemented edges of BDDs, Brace, Rudell & Bryant, DAC 1990; the
+fixed-polarity Reed-Muller form).  Its dominator substitutes ``1 - g``
+for ``y``.  Complementing a small value cancels: in floats ``1 - p``
+keeps only the absolute, not the relative, precision of ``p``, and a
+tiny unreliability built from such terms loses every digit.  So a node
+is complemented only when its value's constant term is at least 1/100.
+The plain algorithm stays in the ``x`` basis, so its captured history
+shows the paper's expressions.
+
 Probabilities drive the coefficient field: build the tree with floats
 for speed, or for exact results with Decimals (``parse_ft(text,
 exact=True)`` on decimal literals) or Fractions (see
@@ -77,6 +90,18 @@ class SolveReport:
     def clamped(self):
         """``unreliability`` pinned to [0, 1]; the same object if it lies there."""
         return min(max(self.unreliability, 0), 1)
+
+
+def _complemented(value, parents, kinds) -> bool:
+    """Whether a multiparent node's variable stands for ``1 - x``: when
+    most of its parents are OR gates and its value's constant term (the
+    value itself for a number) is at least 1/100.  The comparison is
+    exact, so a Decimal or Fraction value meets no float."""
+    kind_or = GateKind.OR
+    if 2 * sum(kinds[u] is kind_or for u in parents) <= len(parents):
+        return False
+    lo = value.terms.get(0, 0) if value.__class__ is Poly else value
+    return 100 * lo >= 1
 
 
 def _eliminate(factors, pending, g, num, report, observe=None):
@@ -145,8 +170,12 @@ def _solve(t: FaultTree, idom: dict[int, int] | None, algorithm: str,
     report = SolveReport(unreliability=None, algorithm=algorithm, max_terms=1,
                          history={} if capture else None)
 
-    kinds, children, probs = t.kinds, t.children, t.probs
-    single = [len(p) == 1 for p in t.parents] if fold else [False] * len(t)
+    kinds, children, probs, parents = t.kinds, t.children, t.probs, t.parents
+    single = [len(p) == 1 for p in parents] if fold else [False] * len(t)
+    # multiparent node -> whether its variable is complemented (fold only),
+    # decided at its first parent; a complemented node's g holds 1 - value,
+    # what its variable is replaced by
+    flipped = {}
     # each gate's variables to substitute, in forward topological order;
     # the root is skipped by a test, since a slice of t.order would copy it
     groups = {}
@@ -175,7 +204,18 @@ def _solve(t: FaultTree, idom: dict[int, int] | None, algorithm: str,
         num = 1
         polys = []
         for w in children[v]:
-            val = g[w] if single[w] else variable(w)
+            if single[w]:
+                val = g[w]
+            else:
+                val = variable(w)
+                if fold:
+                    flip = flipped.get(w)
+                    if flip is None:
+                        flip = flipped[w] = _complemented(g[w], parents[w], kinds)
+                        if flip:
+                            g[w] = 1 - g[w]
+                    if flip:
+                        val = 1 - val  # x = 1 - y
             if invert:
                 val = 1 - val
             if val.__class__ is poly_cls:
@@ -232,6 +272,13 @@ def solve_sfpa2(t: FaultTree, idom: dict[int, int] | None = None) -> SolveReport
     each inside itself as soon as the last factor holding it is in, in
     min-width order (``_eliminate``).  On a tree-shaped input this
     degenerates to the classical numeric bottom-up pass.
+
+    A multiparent node with mostly OR parents gets the complemented
+    variable ``y = 1 - x``, so that the ORs over it multiply single
+    terms, and its dominator substitutes ``1 - value`` for ``y``; only
+    when its value's constant term is at least 1/100, since ``1 - p``
+    of a small float ``p`` loses the digits a tiny unreliability needs.
+    Exact values are the same in either basis.
     """
     return _solve(t, idom, "sfpa2", fold=True)
 

@@ -51,10 +51,24 @@ def _unwritable(text):
     return '"' in text or "//" in text or len((text + "\0").splitlines()) > 1
 
 
+def _in_unit(p):
+    """``0 <= p <= 1``, and False for a NaN, whose ordering a Decimal
+    signals as InvalidOperation."""
+    try:
+        return 0 <= p <= 1
+    except InvalidOperation:
+        return False
+
+
 class GateKind(enum.Enum):
     AND = "and"
     OR = "or"
     BE = "be"
+
+
+#: kind string -> member, for ``FaultTree.build``; calling GateKind runs
+#: Python code
+_KINDS = {kind.value: kind for kind in GateKind}
 
 
 #: Probability types that do not mix: Decimal with float or Fraction
@@ -93,19 +107,25 @@ class FaultTree:
         # get a tuple of their own
         parents = [()] * n
         more = {}  # node -> its parents after the first
+        leaves = []
+        ascending = True  # whether every edge leads to a larger id
         for v, kids in enumerate(self.children):
             if kids:
                 first = (v,)
+                if min(kids) <= v:
+                    ascending = False
                 for w in kids:
                     if parents[w]:
                         more.setdefault(w, []).append(v)
                     else:
                         parents[w] = first
+            else:
+                leaves.append(v)
         for w, rest in more.items():
             parents[w] += tuple(rest)
         self.parents = tuple(parents)
         self.name_to_id = dict(zip(self.names, range(n)))
-        self._validate()
+        self._validate(more, leaves, ascending)
 
     # -- construction helpers -------------------------------------------
 
@@ -118,90 +138,96 @@ class FaultTree:
         probability.  Ids are assigned in declaration order: gates first,
         then BEs.
         """
-        names = []
+        names = list(gates)
         kinds = []
         child_names = []
         for name, (kind, kids) in gates.items():
             if isinstance(kind, str):
-                try:
-                    kind = GateKind(kind.lower())
-                except ValueError:
+                member = _KINDS.get(kind.lower())
+                if member is None:
                     raise ValidationError(
-                        "node %r has unknown kind %r" % (name, kind)) from None
-            names.append(name)
+                        "node %r has unknown kind %r" % (name, kind))
+                kind = member
             kinds.append(kind)
-            child_names.append(list(kids))
-        id_probs = {}
-        for name, p in probs.items():
-            id_probs[len(names)] = p
-            names.append(name)
-            kinds.append(GateKind.BE)
-            child_names.append([])
-        index = {}
-        for i, name in enumerate(names):
-            if name in index:
-                raise ValidationError("duplicate node name %r" % name)
-            index[name] = i
-        children = []
-        for name, kids in zip(names, child_names):
-            ids = []
-            for kid in kids:
-                if kid not in index:
-                    raise ValidationError(
-                        "gate %r references unknown node %r" % (name, kid)
-                    )
-                ids.append(index[kid])
-            children.append(ids)
+            child_names.append(tuple(kids))
+        m = len(names)
+        names.extend(probs)
+        id_probs = dict(zip(range(m, len(names)), probs.values()))
+        kinds += [GateKind.BE] * len(probs)
+        index = dict(zip(names, range(len(names))))
+        if len(index) != len(names):
+            seen = set()
+            dupe = next(x for x in names if x in seen or seen.add(x))
+            raise ValidationError("duplicate node name %r" % dupe)
+        lookup = index.__getitem__
+        try:
+            children = [tuple(map(lookup, kids)) for kids in child_names]
+        except KeyError:
+            name, kid = next((name, kid) for name, kids in zip(names, child_names)
+                             for kid in kids if kid not in index)
+            raise ValidationError(
+                "gate %r references unknown node %r" % (name, kid)
+            ) from None
+        children += [()] * len(probs)
         if root not in index:
             raise ValidationError("unknown root node %r" % root)
         return cls(names, kinds, children, id_probs, index[root])
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self):
-        n = len(self.names)
+    def _validate(self, shared, leaves, ascending):
+        """Check the tree and set ``order``, given the nodes that some gate
+        lists after their first parent, the childless nodes in ascending
+        order and whether every edge leads to a larger id."""
+        names, kinds, children, parents = (self.names, self.kinds,
+                                           self.children, self.parents)
+        n = len(names)
         if not (0 <= self.root < n):
             raise ValidationError("root id out of range")
         if len(self.name_to_id) != n:
-            dupe = next(x for x in self.names if self.names.count(x) > 1)
+            dupe = next(x for x in names if names.count(x) > 1)
             raise ValidationError("duplicate node name %r" % dupe)
         # one scan over all names; "\0" cannot join two names into a match
-        if _unwritable("\0".join(self.names)) or "toplevel" in self.name_to_id:
-            bad = next(x for x in self.names if x == "toplevel" or _unwritable(x))
+        if _unwritable("\0".join(names)) or "toplevel" in self.name_to_id:
+            bad = next(x for x in names if x == "toplevel" or _unwritable(x))
             raise ValidationError(
                 "node name %r cannot be written in the text format" % bad
             )
         # Whole-tuple scans for what _check_nodes checks node by node; it
         # runs only when a scan fails, and names the smallest offending id.
-        # A gate lists a child twice exactly when the child lists that gate
-        # twice among its parents.  The members are bound once: reading
-        # GateKind.BE is a descriptor call, and Enum hashing runs Python
-        # code, so the kinds are counted rather than put in a set.
-        probs, kinds = self.probs, self.kinds
-        BE, AND, OR = GateKind.BE, GateKind.AND, GateKind.OR
-        bes = [v for v, kind in enumerate(kinds) if kind is BE]
-        if not (
-            len(bes) + kinds.count(AND) + kinds.count(OR) == n
-            and list(map(bool, self.children)) == [kind is not BE for kind in kinds]
-            and all(len(set(p)) == len(p) for p in self.parents if len(p) > 1)
-            and len(bes) == len(probs)
-            and all(map(probs.__contains__, bes))
-            and all(0 <= p <= 1 for p in probs.values())
-        ):
+        # The leaves must be the BEs and the keys of probs.  A gate lists a
+        # child twice exactly when the child lists that gate twice among
+        # its parents, and such a child is shared.  Reading GateKind.BE is
+        # a descriptor call, and Enum hashing runs Python code, so the
+        # kinds are counted rather than put in a set.
+        probs = self.probs
+        BE = GateKind.BE
+        bes = len(leaves)
+        try:
+            valid = (
+                kinds.count(BE) == bes == len(probs)
+                and bes + kinds.count(GateKind.AND) + kinds.count(GateKind.OR) == n
+                and list(map(kinds.__getitem__, leaves)) == [BE] * bes
+                and all(map(probs.__contains__, leaves))
+                and all(len(set(parents[w])) == len(parents[w]) for w in shared)
+                and all(0 <= p <= 1 for p in probs.values())
+            )
+        except InvalidOperation:  # a Decimal NaN probability
+            valid = False
+        if not valid:
             self._check_nodes()
         if len(set(map(type, probs.values()))) > 1:
             self._check_prob_types()
-        sources = [v for v in range(n) if not self.parents[v]]
-        if all(min(kids) > v for v, kids in enumerate(self.children) if kids):
-            # every edge leads to a larger id, so the smallest-id-first pass
-            # would return the ids in ascending order (name_to_id holds them)
+        if ascending:
+            # the smallest-id-first pass would return the ids in ascending
+            # order (name_to_id holds them)
             order = tuple(self.name_to_id.values())
         else:
-            order = self._kahn(sources)
+            order = self._kahn([v for v in range(n) if not parents[v]])
         # acyclic, so every node lies below some parentless node: all are
         # reachable exactly when the root is the only parentless node
-        if sources != [self.root]:
-            stray = next(v for v in sources if v != self.root)
+        if parents.count(()) != 1 or parents[self.root]:
+            stray = next(v for v in range(n) if not parents[v] and v != self.root)
             raise ValidationError(
                 "node %r is unreachable from the root" % self.names[stray]
             )
@@ -225,7 +251,7 @@ class FaultTree:
                         "basic event %r has no probability" % self.names[v]
                     )
                 p = self.probs[v]
-                if not (0 <= p <= 1):
+                if not _in_unit(p):
                     raise ValidationError(
                         "probability %s of %r outside [0,1]" % (p, self.names[v])
                     )

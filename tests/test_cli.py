@@ -73,6 +73,20 @@ class TestSolve:
         ratio = "%d/%d" % (expected.numerator, expected.denominator)
         assert report["raw_unreliability"] == report["unreliability"] == ratio
 
+    @pytest.mark.parametrize("algo", ["sfpa2", "sfpa", "treelike"])
+    def test_exact_answer_past_the_int_digit_limit(self, capsys, tmp_path,
+                                                   algo):
+        # 1e-5000 = 1/10**5000, whose denominator has more digits than
+        # str(int) writes by default
+        path = tmp_path / "tiny.dft"
+        path.write_text('toplevel "top";\n"top" and "a" "b" "c" "d" "e";\n'
+                        + "".join('"%s" prob=1e-1000;\n' % b for b in "abcde"))
+        code, out, err = run(capsys, "solve", "--exact", "--algo", algo, path)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        ratio = "1/1" + "0" * 5000
+        assert report["raw_unreliability"] == report["unreliability"] == ratio
+
     def test_treelike_rejects_shared_node(self, capsys, fig1_file):
         code, _, err = run(capsys, "solve", fig1_file, "--algo", "treelike")
         assert code == 2

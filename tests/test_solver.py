@@ -225,6 +225,44 @@ class TestEliminationOrder:
             assert solve_sfpa2(t).max_terms <= 8192
 
 
+class TestPolarity:
+    """solve_sfpa2 complements a shared node with mostly OR parents, unless
+    its value's constant term is below 1/100."""
+
+    @staticmethod
+    def three_shared(p):
+        # two ORs over the shared s1, s2, s3: 1 - (1-x1)(1-x2)(1-x3) has
+        # 7 terms and g2's, with e folded in, 8; 1 - y1*y2*y3 has 2
+        return FaultTree.build(
+            "top",
+            {"top": ("and", ["g1", "g2"]), "g1": ("or", ["s1", "s2", "s3"]),
+             "g2": ("or", ["s1", "s2", "s3", "e"])},
+            {"s1": p, "s2": p / 2, "s3": p / 3, "e": Fraction(1, 5)},
+        )
+
+    def test_a_shared_event_under_two_ors_is_complemented(self):
+        t = self.three_shared(Fraction(1, 2))
+        r = solve_sfpa2(t)
+        assert r.unreliability == oracle_unreliability(t)
+        assert r.max_terms == 2  # 8 in the x basis
+
+    def test_a_small_shared_event_is_not_complemented(self):
+        # the largest shared value, s1 = 1/10000, lies below 1/100
+        t = self.three_shared(Fraction(1, 10**4))
+        r = solve_sfpa2(t)
+        assert r.unreliability == oracle_unreliability(t)
+        assert r.max_terms == 8
+
+    def test_the_guard_keeps_small_probabilities_accurate(self):
+        # complementing here would read 1.11e-16: 1 - y*... with y near 1
+        t = generate(GenConfig(seed=119, n_be=12, n_gates=9, n_multiparent=10,
+                               prob_range=(1e-9, 1e-6)))
+        exact = solve_sfpa2(t.with_exact_probs()).unreliability
+        assert 3.02e-26 < exact < 3.03e-26
+        value = solve_sfpa2(t).unreliability
+        assert abs(Fraction(value) - exact) <= Fraction(1, 10**9) * exact
+
+
 class TestExactDecimals:
     """Decimal literals read exactly stay Decimals, and no solver rounds
     them, whatever the caller's decimal context."""
@@ -416,6 +454,18 @@ def test_reduction_returns_a_minimal_cut_set(seed):
     sets = cut_sets(t)
     assert mcs in sets
     assert not any(s < mcs for s in sets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS, small=st.booleans())
+def test_exact_optimized_solve_equals_the_oracle(seed, small):
+    # with ``small``, every other basic event drops below the complement
+    # guard, so that complemented and plain shared nodes meet in one tree
+    t = _small_tree(seed, exact=True)
+    if small:
+        probs = {v: p / 1000 if v % 2 else p for v, p in t.probs.items()}
+        t = FaultTree(t.names, t.kinds, t.children, probs, t.root)
+    assert solve_sfpa2(t).unreliability == oracle_unreliability(t)
 
 
 @settings(max_examples=100, deadline=None)

@@ -90,6 +90,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="node 'top' has unknown kind %r" % kind):
             FaultTree.build("top", {"top": (kind, ["a"])}, {"a": 0.5})
 
+    @pytest.mark.parametrize("p", [float("nan"), Decimal("NaN"), Decimal("sNaN")],
+                             ids=["float", "Decimal", "signalling Decimal"])
+    def test_nan_probability_rejected(self, p):
+        # an ordered comparison with a Decimal NaN signals InvalidOperation
+        message = r"probability %s of 'a' outside \[0,1\]" % p
+        with pytest.raises(ValidationError, match=message):
+            FaultTree.build("top", {"top": ("and", ["a", "b"])},
+                            {"a": p, "b": type(p)("0.5")})
+
     @pytest.mark.parametrize("p, q", [
         (Decimal("0.5"), Fraction(1, 4)),
         (Decimal("0.5"), 0.25),

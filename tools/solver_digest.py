@@ -3,6 +3,7 @@
 Run from the repository root as::
 
     PYTHONPATH=src python tools/solver_digest.py [--save FILE] [--compare FILE]
+    PYTHONPATH=src python tools/solver_digest.py --accuracy
 
 The corpus is the 900 trees ``GenConfig(seed=0..299, n_be=12, n_gates=9,
 n_multiparent=m)`` for m in 0, 3 and 10.  For each algorithm the script
@@ -23,6 +24,12 @@ compute the same thing on the corpus.
 ``--save FILE`` writes the float values as JSON; ``--compare FILE`` reads
 such a file and prints, per algorithm, how many float values differ from
 it and by how much at most.
+
+``--accuracy`` prints, instead of the digest, how far float
+``solve_sfpa2`` strays from exact ``solve_sfpa2`` on the same corpus
+drawn with each of ``ACCURACY_RANGES`` as ``prob_range``: the median and
+the largest relative error, how many trees stray by more than 1e-6, and
+how many read float 0.0 where the exact value is above 0.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from sfpa import (GenConfig, generate, oracle_unreliability, serialize_ft,
@@ -44,11 +53,34 @@ COUNTERS = ("max_terms", "max_live_vars", "substitutions", "multiplications")
 ALGORITHMS = {"sfpa": solve_sfpa, "sfpa2": solve_sfpa2}
 
 
-def corpus():
+#: ``prob_range`` of each row of the ``--accuracy`` table; the first is
+#: the generator's default, the corpus of the digest.
+ACCURACY_RANGES = ((0.01, 0.5), (1e-4, 1e-2), (1e-9, 1e-6))
+
+
+def corpus(prob_range=ACCURACY_RANGES[0]):
     for m in (0, 3, 10):
         for seed in range(300):
             yield generate(GenConfig(seed=seed, n_be=12, n_gates=9,
-                                     n_multiparent=m))
+                                     n_multiparent=m, prob_range=prob_range))
+
+
+def accuracy():
+    """Print float against exact ``solve_sfpa2``, one row per range."""
+    print("%-12s %10s %10s %10s %10s" % (
+        "prob_range", "median_rel", "max_rel", "above_1e-6", "float_0.0"))
+    for lo, hi in ACCURACY_RANGES:
+        errors = []
+        zeros = 0
+        for t in corpus((lo, hi)):
+            exact = solve_sfpa2(t.with_exact_probs()).unreliability
+            value = solve_sfpa2(t).unreliability
+            # every probability is above 0, hence so is every exact value
+            errors.append(float(abs(Fraction(value) - exact) / exact))
+            zeros += value == 0
+        print("%-12s %10.2g %10.2g %10d %10d" % (
+            "%g-%g" % (lo, hi), statistics.median(errors), max(errors),
+            sum(e > 1e-6 for e in errors), zeros))
 
 
 def digest(items) -> str:
@@ -100,7 +132,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", help="write the float values to this JSON file")
     parser.add_argument("--compare", help="compare the float values with this JSON file")
+    parser.add_argument("--accuracy", action="store_true",
+                        help="print the float accuracy table instead")
     args = parser.parse_args(argv)
+    if args.accuracy:
+        accuracy()
+        return
 
     trees = list(corpus())
     floats = {}
